@@ -21,10 +21,8 @@ from .classify import (
 from .coeffmat import CoeffMatrix, QubitPartition, coeff_matrix, local_rank
 from .errors import ToleranceInconsistency, ValidationError
 from .flip import (
-    AntisymmetricKernel,
     CongruenceReport,
     OmegaMatrix,
-    kernel_power,
     omega,
     omega_power,
     omega_power_sequence,
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcinForm",
-    "AntisymmetricKernel",
     "CoeffMatrix",
     "CompareVerdict",
     "CongruenceReport",
@@ -91,7 +88,6 @@ __all__ = [
     "default_rows",
     "family_label",
     "invariant_profile",
-    "kernel_power",
     "local_rank",
     "lu_compare",
     "numerical_rank",

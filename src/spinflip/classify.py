@@ -9,11 +9,11 @@ conditions only: a not-distinguished verdict never asserts equivalence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffmat import QubitPartition, coeff_matrix, local_rank
+from .coeffmat import QubitPartition, _local_ranks, coeff_matrix
 from .errors import ToleranceInconsistency, ValidationError
 from .invariants import (
     DEFAULT_RANK_TOL,
@@ -35,7 +35,13 @@ DEFAULT_COMPARE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SloccClass:
+    """SLOCC class label; classify_three also attaches its evidence, the
+    rows {1,2} rank triple and the single-qubit local ranks, which take no
+    part in equality."""
+
     label: str
+    ranks: tuple[int, ...] | None = field(default=None, compare=False)
+    local_ranks: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.label not in THREE_QUBIT_LABELS + TWO_QUBIT_LABELS:
@@ -135,11 +141,11 @@ def classify_three(state: PureState, tol: float = DEFAULT_RANK_TOL) -> SloccClas
     if state.n != 3:
         raise ValidationError("classify_three requires exactly 3 qubits")
     triple = rank_profile(state, QubitPartition((1, 2), 3), 3, tol).ranks
+    local = _local_ranks(state, tol)
     if triple == (2, 2, 2):
-        return SloccClass("GHZ")
+        return SloccClass("GHZ", triple, local)
     if triple == (2, 1, 0):
-        return SloccClass("W")
-    local = tuple(local_rank(state, q, tol) for q in (1, 2, 3))
+        return SloccClass("W", triple, local)
     separated = tuple(q for q in (1, 2, 3) if local[q - 1] == 1)
     if len(separated) == 3:
         label = "A-B-C"
@@ -155,7 +161,7 @@ def classify_three(state: PureState, tol: float = DEFAULT_RANK_TOL) -> SloccClas
             f"local ranks point to {label} but the rank triple is {triple}",
             details={"triple": triple, "local_ranks": local, "label": label},
         )
-    return SloccClass(label)
+    return SloccClass(label, triple, local)
 
 
 def _acin_tree(form: AcinForm, tol: float) -> str:
@@ -195,8 +201,7 @@ def classify_acin(
             details={"tree": tree_label, "numeric": numeric.label,
                      "lambdas": form.lambdas(), "phi": form.phi},
         )
-    triple = rank_profile(state, QubitPartition((1, 2), 3), 3, tol).ranks
-    return numeric, triple, three_qubit_S(state)
+    return numeric, numeric.ranks, three_qubit_S(state)
 
 
 def _sorted_ascending(sigma: np.ndarray) -> np.ndarray:
@@ -269,13 +274,18 @@ def lu_compare(
 
 
 def _unit(state: PureState) -> PureState:
-    """Rescale to unit norm; SLOCC comparisons are statements about rays."""
+    """Rescale to unit norm; SLOCC comparisons are statements about rays.
+
+    Dividing by max |a_i| first keeps the squares inside the norm from
+    underflowing or overflowing at extreme scales.
+    """
     if state.normalized:
         return state
-    norm = state.norm()
-    if norm <= 0.0 or not math.isfinite(norm):
+    peak = float(np.max(np.abs(state.amplitudes)))
+    if peak <= 0.0 or not math.isfinite(peak):
         raise ValidationError("cannot compare a zero or non-finite state")
-    return PureState(state.n, state.amplitudes / norm)
+    amps = state.amplitudes / peak
+    return PureState(state.n, amps / np.linalg.norm(amps))
 
 
 def slocc_compare(
@@ -298,17 +308,17 @@ def slocc_compare(
         ta, tb = odd_invariants(a).ntangle, odd_invariants(b).ntangle
         if (ta <= tol) != (tb <= tol):
             return CompareVerdict("inequivalent", Witness("ntangle", ta, tb))
-    if a.n == 2:
-        la, lb = classify_two(a, tol), classify_two(b, tol)
-        if la != lb:
-            return CompareVerdict("inequivalent", Witness("class", la.label, lb.label))
-    elif a.n == 3:
-        la, lb = classify_three(a, tol), classify_three(b, tol)
+    classify = {2: classify_two, 3: classify_three}.get(a.n)
+    if classify is not None:
+        la, lb = classify(a, tol), classify(b, tol)
         if la != lb:
             return CompareVerdict("inequivalent", Witness("class", la.label, lb.label))
     partition = QubitPartition(default_rows(a.n), a.n)
-    ra = rank_profile(a, partition, 3, tol).ranks
-    rb = rank_profile(b, partition, 3, tol).ranks
+    if a.n == 3:
+        ra, rb = la.ranks, lb.ranks
+    else:
+        ra = rank_profile(a, partition, 3, tol).ranks
+        rb = rank_profile(b, partition, 3, tol).ranks
     if ra != rb:
         return CompareVerdict(
             "inequivalent", Witness("ranks", ra, rb, rows=partition.rows)

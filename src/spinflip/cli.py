@@ -5,7 +5,8 @@ echoes the tool version and the effective configuration, so results are
 reproducible from the report alone. gen and apply write state files in the
 same format the other subcommands consume. Exit codes: 0 success, 2 for
 malformed input or incompatible parameters, 3 when two internal routes to
-the same answer disagree (a tolerance inconsistency).
+the same answer disagree (a tolerance inconsistency); exit 3 also writes
+the inconsistency's details to stderr as one JSON line.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .classify import (
     lu_compare,
     slocc_compare,
 )
-from .coeffmat import QubitPartition, local_rank
+from .coeffmat import QubitPartition
 from .errors import ToleranceInconsistency, ValidationError
 from .flip import verify_congruence
 from .invariants import (
@@ -222,18 +223,19 @@ def _cmd_classify(args) -> int:
     if state.n == 2:
         label = classify_two(state, args.tol)
         partition = QubitPartition((1,), 2)
+        ranks = rank_profile(state, partition, 3, args.tol).ranks
     elif state.n == 3:
         label = classify_three(state, args.tol)
         partition = QubitPartition((1, 2), 3)
+        ranks = label.ranks
     else:
         raise ValidationError("classify handles 2- and 3-qubit states only")
-    ranks = rank_profile(state, partition, 3, args.tol).ranks
     report = _config(args, "classify", partition.rows)
     report["n"] = state.n
     report["class"] = label.label
     report["ranks"] = list(ranks)
     if state.n == 3:
-        report["local_ranks"] = [local_rank(state, q, args.tol) for q in (1, 2, 3)]
+        report["local_ranks"] = list(label.local_ranks)
     _write_output(_emit_json(report), args.output)
     return 0
 
@@ -427,6 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ToleranceInconsistency as exc:
         print(f"{TOOL_NAME}: tolerance inconsistency: {exc}", file=sys.stderr)
+        print(json.dumps(exc.details), file=sys.stderr)
         return 3
     except ValidationError as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)

@@ -80,23 +80,35 @@ def coeff_matrix(state: PureState, partition: QubitPartition) -> CoeffMatrix:
     return CoeffMatrix(partition, entries)
 
 
+def _local_ranks(state: PureState, tol: float) -> tuple[int, ...]:
+    """Ranks of all n single-qubit coefficient matrices C_1..C_n.
+
+    One stacked SVD over the (n, 2, 2^(n-1)) matrices; moving qubit k's
+    axis to the front keeps the other qubits in ascending label order,
+    which is coeff_matrix's column order for the partition (k,).
+    """
+    # deferred import: invariants depends on this module
+    from .invariants import NOISE_FLOOR, _rank, singular_values
+
+    tensor = state.amplitudes.reshape([2] * state.n)
+    stack = np.stack([np.moveaxis(tensor, k, 0).reshape(2, -1) for k in range(state.n)])
+    floor = NOISE_FLOOR * float(np.max(np.abs(state.amplitudes)))
+    return tuple(_rank(sigma, tol, floor) for sigma in singular_values(stack))
+
+
 def local_rank(state: PureState, qubit: int, tol: float = 1e-10) -> int:
     """Numerical rank of the single-qubit coefficient matrix C_qubit.
 
     Rank 1 certifies the qubit factors out of the rest of the state; rank 0
     happens only for the zero vector.
     """
-    # deferred import: invariants depends on this module
-    from .invariants import numerical_rank
-
     if state.n < 2:
         raise ValidationError("local_rank needs at least 2 qubits")
     if not 1 <= qubit <= state.n:
         raise ValidationError(f"qubit label {qubit} out of range 1..{state.n}")
-    mat = coeff_matrix(state, QubitPartition((qubit,), state.n)).entries
-    if not np.any(mat):
+    if not np.any(state.amplitudes):
         warnings.warn(
             "local_rank of the zero state is 0", RuntimeWarning, stacklevel=2
         )
         return 0
-    return numerical_rank(mat, tol)
+    return _local_ranks(state, tol)[qubit - 1]

@@ -15,36 +15,15 @@ column-qubit determinants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
 from .coeffmat import QubitPartition, coeff_matrix
 from .errors import ValidationError
-from .states import LocalOperator, PureState, apply_local, parity
-
-MAX_KERNEL_ORDER = 14
+from .states import LocalOperator, PureState, apply_local, parity_signs
 
 SYMMETRY_ATOL = 1e-12
-
-_KERNEL_2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-@dataclass(frozen=True)
-class AntisymmetricKernel:
-    """Tensor power v^{(x)k} of the 2x2 antisymmetric unit v = i sigma_y."""
-
-    order: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.shape != (2**self.order, 2**self.order):
-            raise ValidationError(
-                f"kernel of order {self.order} must be {2**self.order}x{2**self.order}"
-            )
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
 
 
 @dataclass(frozen=True)
@@ -87,37 +66,14 @@ class CongruenceReport:
             raise ValidationError(f"residual must be >= 0, got {self.residual}")
 
 
-@lru_cache(maxsize=None)
-def _kernel_matrix(k: int) -> np.ndarray:
-    mat = reduce(np.kron, [_KERNEL_2] * k, np.eye(1))
-    mat.setflags(write=False)
-    return mat
-
-
-def kernel_power(k: int) -> AntisymmetricKernel:
-    """The 2^k x 2^k matrix v^{(x)k}; k = 0 gives the 1x1 identity."""
-    if not 0 <= k <= MAX_KERNEL_ORDER:
-        raise ValidationError(f"kernel order must be in 0..{MAX_KERNEL_ORDER}, got {k}")
-    return AntisymmetricKernel(k, _kernel_matrix(k))
-
-
-@lru_cache(maxsize=None)
-def _kernel_signs(k: int) -> np.ndarray:
-    """Column signs for fast right-multiplication by v^{(x)k}.
+def _times_kernel(mat: np.ndarray, k: int) -> np.ndarray:
+    """mat @ v^{(x)k} without materializing the kernel.
 
     v^{(x)k} has a single nonzero per row: entry (j, 2^k-1-j) with sign
     (-1)^{parity(j)}, so M v^{(x)k} = M[:, ::-1] * signs with
-    signs[c] = (-1)^{parity(2^k-1-c)}.
+    signs[c] = (-1)^{parity(2^k-1-c)}, the reversed parity table.
     """
-    pm = np.array([1.0 - 2.0 * parity(j) for j in range(2**k)])
-    signs = pm[::-1].copy()
-    signs.setflags(write=False)
-    return signs
-
-
-def _times_kernel(mat: np.ndarray, k: int) -> np.ndarray:
-    """mat @ v^{(x)k} without materializing the kernel."""
-    return mat[:, ::-1] * _kernel_signs(k)[None, :]
+    return mat[:, ::-1] * parity_signs(k)[::-1]
 
 
 def omega(state: PureState, partition: QubitPartition) -> OmegaMatrix:
@@ -128,18 +84,10 @@ def omega(state: PureState, partition: QubitPartition) -> OmegaMatrix:
 
 
 def omega_power(state: PureState, partition: QubitPartition, ell: int = 1) -> OmegaMatrix:
-    """l-spin-flipping matrix via the recursion from the cached power-1 matrix."""
+    """l-spin-flipping matrix: the last element of the power sequence."""
     if ell < 1:
         raise ValidationError(f"ell must be >= 1, got {ell}")
-    base = omega(state, partition)
-    return _omega_power_from_base(base, ell)
-
-
-def _omega_power_from_base(base: OmegaMatrix, ell: int) -> OmegaMatrix:
-    current = base.entries
-    for _ in range(ell - 1):
-        current = _times_kernel(current, base.partition.size) @ base.entries
-    return OmegaMatrix(base.partition, ell, current) if ell > 1 else base
+    return omega_power_sequence(state, partition, ell)[-1]
 
 
 def omega_power_sequence(

@@ -16,7 +16,7 @@ import numpy as np
 from .coeffmat import QubitPartition, coeff_matrix
 from .errors import ToleranceInconsistency, ValidationError
 from .flip import omega_power_sequence
-from .states import NORM_ATOL, PureState, parity
+from .states import NORM_ATOL, PureState, parity_signs
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -45,22 +45,25 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(_check_finite(m), compute_uv=False)
 
 
+def _rank(sigma: np.ndarray, tol: float, floor: float) -> int:
+    """The one rank rule: 0 when the top singular value is at or below the
+    noise floor, else the count above tol relative to the top value."""
+    if not tol > 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
+    if sigma.size == 0 or sigma[0] <= floor:
+        return 0
+    return int(np.sum(sigma > tol * max(float(sigma[0]), TINY)))
+
+
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
     """Count of singular values above tol relative to the largest one.
 
     A matrix whose singular values all sit below 1e-12 times its largest
     entry magnitude is declared rank 0 outright.
     """
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
     mat = _check_finite(m)
-    sigma = np.linalg.svd(mat, compute_uv=False)
-    if sigma.size == 0:
-        return 0
-    scale = float(np.max(np.abs(mat))) or 1.0
-    if np.all(sigma <= 1e-12 * scale):
-        return 0
-    return int(np.sum(sigma > tol * max(float(sigma[0]), TINY)))
+    floor = NOISE_FLOOR * float(np.max(np.abs(mat), initial=0.0))
+    return _rank(singular_values(mat), tol, floor)
 
 
 @dataclass(frozen=True)
@@ -135,23 +138,14 @@ def _require_normalized(state: PureState, what: str) -> None:
         raise ValidationError(f"{what} requires a normalized state")
 
 
-def _alternating_signs(count: int) -> np.ndarray:
-    """(-1)^{parity(i)} for i in 0..count-1."""
-    return np.fromiter((1.0 - 2.0 * parity(i) for i in range(count)), float, count)
-
-
 def _partition_invariants(
     state: PureState,
     partition: QubitPartition,
     max_power: int = 3,
     tol: float = DEFAULT_RANK_TOL,
 ) -> PartitionInvariants:
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
     powers = omega_power_sequence(state, partition, max_power)
-    sigmas = tuple(
-        np.linalg.svd(_check_finite(om.entries), compute_uv=False) for om in powers
-    )
+    sigmas = tuple(singular_values(om.entries) for om in powers)
     # Ranks are relative to each power's own top singular value (the
     # per-matrix convention; a scalar prefactor then cannot change the
     # count), but a matrix whose top value sits below an a-priori noise
@@ -160,17 +154,14 @@ def _partition_invariants(
     # that is the magnitude the recursion multiplies in per step, so
     # accumulated rounding error stays orders of magnitude below it.
     base = max(float(np.sum(np.abs(state.amplitudes) ** 2)), TINY)
-    scale1 = float(sigmas[0][0]) if sigmas[0].size else 0.0
-    ranks = []
-    for ell, sig in enumerate(sigmas, start=1):
-        top = float(sig[0]) if sig.size else 0.0
-        noise_floor = NOISE_FLOOR * base * scale1 ** (ell - 1)
-        if top <= noise_floor:
-            ranks.append(0)
-        else:
-            ranks.append(int(np.sum(sig > tol * top)))
-    ranks = tuple(ranks)
-    dets = tuple(float(abs(np.linalg.det(om.entries))) for om in powers)
+    scale1 = float(sigmas[0][0])
+    ranks = tuple(
+        _rank(sig, tol, NOISE_FLOOR * base * scale1 ** (ell - 1))
+        for ell, sig in enumerate(sigmas, start=1)
+    )
+    # det v^{(x)i} = 1, so the recursion gives |det Omega^(l)| = |det Omega|^l
+    abs_det = abs(np.linalg.det(powers[0].entries))
+    dets = tuple(float(abs_det**ell) for ell in range(1, max_power + 1))
     profile = RankProfile(partition, ranks, tol)
     return PartitionInvariants(profile, sigmas, dets)
 
@@ -195,8 +186,8 @@ def concurrence_even(state: PureState) -> float:
         raise ValidationError("concurrence_even requires an even number of qubits")
     _require_normalized(state, "concurrence_even")
     amps = state.amplitudes
-    half = len(amps) // 2
-    signs = _alternating_signs(half)
+    half = 2 ** (state.n - 1)
+    signs = parity_signs(state.n - 1)
     return float(abs(np.sum(signs * amps[:half] * amps[::-1][:half])))
 
 
@@ -206,10 +197,9 @@ def odd_invariants(state: PureState) -> OddInvariants:
         raise ValidationError("odd_invariants requires odd n >= 3")
     _require_normalized(state, "odd_invariants")
     amps = state.amplitudes
-    half = len(amps) // 2
-    quarter = half // 2
-    sq = _alternating_signs(quarter)
-    sh = _alternating_signs(half)
+    half, quarter = 2 ** (state.n - 1), 2 ** (state.n - 2)
+    sq = parity_signs(state.n - 2)
+    sh = parity_signs(state.n - 1)
     lower, upper = amps[:half], amps[half:]
     e11 = 2 * complex(np.sum(sq * lower[:quarter] * lower[::-1][:quarter]))
     e22 = 2 * complex(np.sum(sq * upper[:quarter] * upper[::-1][:quarter]))
@@ -246,8 +236,7 @@ def three_qubit_S(state: PureState) -> float:
 
 def abs_det_omega(state: PureState, partition: QubitPartition) -> float:
     """|det| of the power-1 spin-flipping matrix."""
-    powers = omega_power_sequence(state, partition, 1)
-    return float(abs(np.linalg.det(powers[0].entries)))
+    return _partition_invariants(state, partition, 1).abs_dets[0]
 
 
 def invariant_profile(

@@ -12,6 +12,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -29,6 +30,14 @@ def parity(i: int) -> int:
     if i < 0:
         raise ValidationError(f"parity expects a nonnegative integer, got {i}")
     return i.bit_count() & 1
+
+
+@lru_cache(maxsize=None)
+def parity_signs(bits: int) -> np.ndarray:
+    """Read-only table of (-1)^{parity(i)} for i in 0..2^bits-1."""
+    signs = reduce(np.kron, [np.array([1.0, -1.0])] * bits, np.ones(1))
+    signs.setflags(write=False)
+    return signs
 
 
 def _as_state_vector(amplitudes, n: int) -> np.ndarray:

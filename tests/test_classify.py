@@ -26,7 +26,9 @@ from spinflip import (
     random_state,
     slocc_compare,
     singular_values,
+    local_rank,
     omega_power,
+    rank_profile,
     standard_state,
 )
 
@@ -65,6 +67,26 @@ def test_classify_three_named_states():
 def test_classify_three_all_six_seeds():
     for label, seed in helpers.class_seeds().items():
         assert classify_three(seed).label == label
+
+
+def test_classify_three_carries_its_evidence():
+    # the attached triple and local ranks are what the separate routes give,
+    # on the six seeds and on their LU and SLOCC orbits
+    for i, (label, seed) in enumerate(helpers.class_seeds().items()):
+        orbit = [seed] + [
+            apply_local(seed, random_local(3, kind, 6800 + 10 * i + k))
+            for k, kind in enumerate(("unitary", "invertible") * 3)
+        ]
+        for state in orbit:
+            got = classify_three(state)
+            assert got.label == label
+            assert got.ranks == rank_profile(state, P12_3, 3).ranks
+            assert got.local_ranks == tuple(local_rank(state, q) for q in (1, 2, 3))
+
+
+def test_slocc_class_equality_ignores_evidence():
+    assert SloccClass("GHZ", (2, 2, 2)) == SloccClass("GHZ")
+    assert SloccClass("GHZ", (2, 2, 2), (2, 2, 2)) != SloccClass("W", (2, 2, 2))
 
 
 def test_classify_three_wrong_n():
@@ -218,6 +240,19 @@ def test_slocc_compare_accepts_unnormalized_transforms():
         state = random_state(n, 7200 + i)
         moved = apply_local(state, random_local(n, "invertible", 7300 + i))
         assert slocc_compare(state, moved).relation == "not-distinguished"
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-100, 1e100, 1e200, 1e300])
+def test_slocc_compare_extreme_scales(scale):
+    # SLOCC verdicts are statements about rays: c * GHZ answers as GHZ does
+    ghz, w = standard_state("ghz", 3), standard_state("w", 3)
+    scaled = PureState(3, scale * ghz.amplitudes, normalized=False)
+    for other, relation in ((w, "inequivalent"), (ghz, "not-distinguished")):
+        verdict, reference = slocc_compare(scaled, other), slocc_compare(ghz, other)
+        assert verdict.relation == reference.relation == relation
+        assert (verdict.witness is None) == (reference.witness is None)
+        if verdict.witness is not None:
+            assert verdict.witness.kind == reference.witness.kind
 
 
 def test_slocc_compare_ghz5_product():

@@ -198,7 +198,11 @@ def test_classify_acin_tolerance_exit(capsys):
     )
     assert code == 3
     assert out == ""
-    assert "tolerance inconsistency" in err
+    message, details = err.splitlines()
+    assert "tolerance inconsistency" in message
+    assert json.loads(details) == {
+        "triple": [2, 0, 0], "local_ranks": [2, 2, 2], "tol": 1e-10
+    }
 
 
 def test_compare_lu_report(states, capsys):

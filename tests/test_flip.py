@@ -12,7 +12,6 @@ from spinflip import (
     QubitPartition,
     ValidationError,
     apply_local,
-    kernel_power,
     omega,
     omega_power,
     omega_power_sequence,
@@ -22,6 +21,8 @@ from spinflip import (
     standard_state,
     verify_congruence,
 )
+from spinflip.flip import _times_kernel
+from spinflip.states import parity_signs
 
 import helpers
 import oracles
@@ -30,12 +31,19 @@ RT2 = math.sqrt(2.0)
 RT3 = math.sqrt(3.0)
 
 
+def kernel(k):
+    """v^{(x)k} as the fast right-multiplication applies it."""
+    return _times_kernel(np.eye(2**k), k)
+
+
 def test_kernel_order_zero_is_identity():
-    assert np.array_equal(kernel_power(0).matrix, [[1.0]])
+    assert np.array_equal(kernel(0), [[1.0]])
+    assert np.array_equal(kernel(0), oracles.oracle_kernel(0))
 
 
 def test_kernel_order_one():
-    assert np.array_equal(kernel_power(1).matrix, [[0, 1], [-1, 0]])
+    assert np.array_equal(kernel(1), [[0, 1], [-1, 0]])
+    assert np.array_equal(kernel(1), oracles.oracle_kron_kernel(1))
 
 
 def test_kernel_order_two_frozen():
@@ -44,34 +52,29 @@ def test_kernel_order_two_frozen():
     expected = np.array(
         [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]
     )
-    assert np.array_equal(kernel_power(2).matrix, expected)
-    assert np.array_equal(kernel_power(2).matrix, oracles.oracle_kron_kernel(2))
+    assert np.array_equal(kernel(2), expected)
+    assert np.array_equal(kernel(2), oracles.oracle_kron_kernel(2))
 
 
 def test_kernel_closed_form_matches_kron():
     for k in range(7):
-        mat = kernel_power(k).matrix
+        mat = kernel(k)
         assert np.array_equal(mat, oracles.oracle_kernel(k))
         assert np.array_equal(mat, oracles.oracle_kron_kernel(k))
 
 
 def test_kernel_is_orthogonal_with_unit_entries():
     for k in range(7):
-        mat = kernel_power(k).matrix
+        mat = kernel(k)
         assert set(np.unique(mat)) <= {-1.0, 0.0, 1.0}
         assert np.array_equal(mat.T @ mat, np.eye(2**k))
 
 
-def test_kernel_order_validation():
-    with pytest.raises(ValidationError):
-        kernel_power(-1)
-    with pytest.raises(ValidationError):
-        kernel_power(15)
-
-
 def test_kernel_matrix_immutable():
+    # the cached sign table behind the kernel is shared, so it is read-only
     with pytest.raises(ValueError):
-        kernel_power(2).matrix[0, 0] = 5.0
+        parity_signs(2)[0] = 5.0
+    assert parity_signs(2) is parity_signs(2)
 
 
 def test_two_qubit_omega_formula():

@@ -30,7 +30,9 @@ from spinflip import (
     standard_state,
     three_qubit_S,
 )
+from spinflip.invariants import _partition_invariants
 
+import helpers
 import oracles
 
 RT2 = math.sqrt(2.0)
@@ -275,6 +277,19 @@ def la4_state(a):
     amps[6] = 1.0
     amps[11] = -1j
     return PureState(4, amps, normalized=False)
+
+
+def test_abs_dets_of_higher_powers_are_derived():
+    # |det Omega^(l)| = |det Omega|^l, against the determinant of each power
+    rng = np.random.default_rng(3900)
+    for n in range(3, 7):
+        for k in range(4):
+            state = random_state(n, 3900 + 10 * n + k)
+            part = helpers.random_partition(rng, n)
+            dets = _partition_invariants(state, part, 3).abs_dets
+            for ell in (2, 3):
+                want = abs(np.linalg.det(omega_power(state, part, ell).entries))
+                assert dets[ell - 1] == pytest.approx(want, rel=1e-10, abs=1e-15)
 
 
 def test_abs_det_la4_family():

@@ -22,6 +22,7 @@ from spinflip import (
     serialize_state,
     standard_state,
 )
+from spinflip.states import parity_signs
 
 import oracles
 
@@ -49,6 +50,15 @@ def test_parity_rejects_negative():
 def test_parity_matches_bitstring_count():
     for i in range(256):
         assert parity(i) == bin(i).count("1") % 2
+
+
+def test_parity_signs_table():
+    for bits in range(15):
+        table = parity_signs(bits)
+        expected = [1 - 2 * parity(i) for i in range(2**bits)]
+        assert np.array_equal(table, expected)
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
 
 def test_bell_amplitudes():
