@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,20 +81,29 @@ def coeff_matrix(state: PureState, partition: QubitPartition) -> CoeffMatrix:
     return CoeffMatrix(partition, entries)
 
 
-def _local_ranks(state: PureState, tol: float) -> tuple[int, ...]:
-    """Ranks of all n single-qubit coefficient matrices C_1..C_n.
+@lru_cache(maxsize=None)
+def _local_index(n: int) -> np.ndarray:
+    """Read-only (n, 2, 2^(n-1)) table of amplitude indices: entry [k, r, c]
+    of the stack of single-qubit coefficient matrices C_1..C_n.
 
-    One stacked SVD over the (n, 2, 2^(n-1)) matrices; moving qubit k's
-    axis to the front keeps the other qubits in ascending label order,
-    which is coeff_matrix's column order for the partition (k,).
+    Moving qubit k's axis to the front keeps the other qubits in ascending
+    label order, which is coeff_matrix's column order for the partition (k,).
     """
+    index = np.arange(2**n).reshape([2] * n)
+    table = np.stack([np.moveaxis(index, k, 0).reshape(2, -1) for k in range(n)])
+    table.setflags(write=False)
+    return table
+
+
+def _local_ranks(state: PureState, tol: float) -> tuple[int, ...]:
+    """Ranks of all n single-qubit coefficient matrices C_1..C_n, from one
+    gather and one stacked SVD."""
     # deferred import: invariants depends on this module
     from .invariants import NOISE_FLOOR, _rank, singular_values
 
-    tensor = state.amplitudes.reshape([2] * state.n)
-    stack = np.stack([np.moveaxis(tensor, k, 0).reshape(2, -1) for k in range(state.n)])
+    stack = state.amplitudes[_local_index(state.n)]
     floor = NOISE_FLOOR * float(np.max(np.abs(state.amplitudes)))
-    return tuple(_rank(sigma, tol, floor) for sigma in singular_values(stack))
+    return tuple(_rank(singular_values(stack), tol, floor).tolist())
 
 
 def local_rank(state: PureState, qubit: int, tol: float = 1e-10) -> int:

@@ -90,19 +90,32 @@ def omega_power(state: PureState, partition: QubitPartition, ell: int = 1) -> Om
     return omega_power_sequence(state, partition, ell)[-1]
 
 
+def _omega_powers(
+    state: PureState, partition: QubitPartition, max_power: int
+) -> np.ndarray:
+    """Powers 1..max_power as one read-only (max_power, d, d) stack.
+
+    Row 0 is omega(), so power 1 keeps its symmetry check; each later row
+    is written in place by the recursion, so the whole stack can go to
+    LAPACK in one call.
+    """
+    if max_power < 1:
+        raise ValidationError(f"max_power must be >= 1, got {max_power}")
+    base = omega(state, partition).entries
+    stack = np.empty((max_power,) + base.shape, dtype=complex)
+    stack[0] = base
+    for ell in range(1, max_power):
+        np.matmul(_times_kernel(stack[ell - 1], partition.size), base, out=stack[ell])
+    stack.setflags(write=False)
+    return stack
+
+
 def omega_power_sequence(
     state: PureState, partition: QubitPartition, max_power: int
 ) -> list[OmegaMatrix]:
     """Powers 1..max_power, sharing one pass of the recursion."""
-    if max_power < 1:
-        raise ValidationError(f"max_power must be >= 1, got {max_power}")
-    base = omega(state, partition)
-    out = [base]
-    current = base.entries
-    for ell in range(2, max_power + 1):
-        current = _times_kernel(current, partition.size) @ base.entries
-        out.append(OmegaMatrix(partition, ell, current))
-    return out
+    stack = _omega_powers(state, partition, max_power)
+    return [OmegaMatrix(partition, ell, mat) for ell, mat in enumerate(stack, start=1)]
 
 
 # Relative residuals fall back to absolute when the reference side is

@@ -15,7 +15,7 @@ import numpy as np
 
 from .coeffmat import QubitPartition, coeff_matrix
 from .errors import ToleranceInconsistency, ValidationError
-from .flip import omega_power_sequence
+from .flip import _omega_powers
 from .states import NORM_ATOL, PureState, parity_signs
 
 DEFAULT_RANK_TOL = 1e-10
@@ -41,18 +41,23 @@ def _check_finite(m: np.ndarray) -> np.ndarray:
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values of a complex matrix, descending."""
+    """Singular values of a complex matrix, or of each matrix in a stack,
+    descending along the last axis."""
     return np.linalg.svd(_check_finite(m), compute_uv=False)
 
 
-def _rank(sigma: np.ndarray, tol: float, floor: float) -> int:
-    """The one rank rule: 0 when the top singular value is at or below the
-    noise floor, else the count above tol relative to the top value."""
+def _rank(sigma: np.ndarray, tol: float, floor) -> np.ndarray:
+    """The one rank rule, over a stack of descending spectra (last axis):
+    0 when the top singular value is at or below the noise floor, else the
+    count above tol relative to the top value. floor broadcasts against
+    the leading axes."""
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
-    if sigma.size == 0 or sigma[0] <= floor:
-        return 0
-    return int(np.sum(sigma > tol * max(float(sigma[0]), TINY)))
+    if sigma.shape[-1] == 0:
+        return np.zeros(sigma.shape[:-1], dtype=int)
+    top = sigma[..., :1]
+    counts = np.sum(sigma > tol * np.maximum(top, TINY), axis=-1)
+    return np.where(top[..., 0] > floor, counts, 0)
 
 
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -63,7 +68,7 @@ def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
     """
     mat = _check_finite(m)
     floor = NOISE_FLOOR * float(np.max(np.abs(mat), initial=0.0))
-    return _rank(singular_values(mat), tol, floor)
+    return int(_rank(singular_values(mat), tol, floor))
 
 
 @dataclass(frozen=True)
@@ -144,8 +149,8 @@ def _partition_invariants(
     max_power: int = 3,
     tol: float = DEFAULT_RANK_TOL,
 ) -> PartitionInvariants:
-    powers = omega_power_sequence(state, partition, max_power)
-    sigmas = tuple(singular_values(om.entries) for om in powers)
+    stack = _omega_powers(state, partition, max_power)
+    sigmas = singular_values(stack)
     # Ranks are relative to each power's own top singular value (the
     # per-matrix convention; a scalar prefactor then cannot change the
     # count), but a matrix whose top value sits below an a-priori noise
@@ -154,16 +159,14 @@ def _partition_invariants(
     # that is the magnitude the recursion multiplies in per step, so
     # accumulated rounding error stays orders of magnitude below it.
     base = max(float(np.sum(np.abs(state.amplitudes) ** 2)), TINY)
-    scale1 = float(sigmas[0][0])
-    ranks = tuple(
-        _rank(sig, tol, NOISE_FLOOR * base * scale1 ** (ell - 1))
-        for ell, sig in enumerate(sigmas, start=1)
-    )
+    scale1 = float(sigmas[0, 0])
+    floors = [NOISE_FLOOR * base * scale1**ell for ell in range(max_power)]
+    ranks = _rank(sigmas, tol, np.array(floors))
     # det v^{(x)i} = 1, so the recursion gives |det Omega^(l)| = |det Omega|^l
-    abs_det = abs(np.linalg.det(powers[0].entries))
+    abs_det = abs(np.linalg.det(stack[0]))
     dets = tuple(float(abs_det**ell) for ell in range(1, max_power + 1))
-    profile = RankProfile(partition, ranks, tol)
-    return PartitionInvariants(profile, sigmas, dets)
+    profile = RankProfile(partition, tuple(ranks.tolist()), tol)
+    return PartitionInvariants(profile, tuple(sigmas), dets)
 
 
 def rank_profile(
@@ -172,8 +175,26 @@ def rank_profile(
     max_power: int = 3,
     tol: float = DEFAULT_RANK_TOL,
 ) -> RankProfile:
-    """Ranks of the power-1..max_power matrices, non-increasing by contract."""
+    """Ranks of the power-1..max_power matrices, non-increasing by contract;
+    properties of the ray, so any nonzero scale gives the same ranks."""
+    state = _peak_scaled(state)
     return _partition_invariants(state, partition, max_power, tol).rank_profile
+
+
+def _peak_scaled(state: PureState) -> PureState:
+    """An unnormalized state divided by 2^e, which puts its peak magnitude
+    in [1/2, 1). Omega^(l) scales as c^(2l), so raw extreme scales underflow
+    or overflow the recursion and its noise floors. ldexp keeps the division
+    exact and, unlike multiplying by 2.0**-e, cannot overflow for a
+    subnormal peak."""
+    if state.normalized:
+        return state
+    _, exp = math.frexp(float(np.max(np.abs(state.amplitudes))))
+    amps = state.amplitudes
+    scaled = np.empty_like(amps)
+    scaled.real = np.ldexp(amps.real, -exp)
+    scaled.imag = np.ldexp(amps.imag, -exp)
+    return PureState(state.n, scaled, normalized=False)
 
 
 def concurrence_even(state: PureState) -> float:

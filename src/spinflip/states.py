@@ -326,6 +326,8 @@ def parse_state(text: str) -> PureState:
         raise ValidationError(
             f"expected {2**n} amplitudes for n={n}, got {amps.shape[0]}"
         )
+    if not np.any(amps):
+        raise ValidationError("amplitudes are all zero; a state needs a nonzero norm")
     norm_sq = float(np.sum(np.abs(amps) ** 2))
     return PureState(n, amps, normalized=abs(norm_sq - 1.0) <= NORM_ATOL)
 

@@ -118,3 +118,16 @@ def acin_samples(count, seed=9000):
     return [
         sample_acin(np.random.default_rng(seed + i), i) for i in range(count)
     ]
+
+
+def count_svd_calls(monkeypatch):
+    """Record the input shape of every np.linalg.svd call from now on."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls

@@ -69,6 +69,26 @@ def test_classify_three_all_six_seeds():
         assert classify_three(seed).label == label
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-50, 1e50, 1e100, 1e150])
+def test_classify_three_at_any_scale(scale):
+    # a class is a property of the ray
+    for label in ("GHZ", "W", "C-AB"):
+        seed = helpers.class_seeds()[label]
+        scaled = PureState(3, scale * seed.amplitudes, normalized=False)
+        got = classify_three(scaled)
+        assert got.label == label
+        assert got.ranks == classify_three(seed).ranks
+
+
+def test_classify_three_two_svd_calls(monkeypatch):
+    # one stacked SVD for the rank triple, one for the three local ranks
+    calls = helpers.count_svd_calls(monkeypatch)
+    for label, seed in helpers.class_seeds().items():
+        calls.clear()
+        assert classify_three(seed).label == label
+        assert sorted(calls) == [(3, 2, 4), (3, 4, 4)]
+
+
 def test_classify_three_carries_its_evidence():
     # the attached triple and local ranks are what the separate routes give,
     # on the six seeds and on their LU and SLOCC orbits

@@ -162,6 +162,34 @@ def test_invariants_unnormalized_state(tmp_path, capsys):
     assert "powers" not in report["partitions"][0]
 
 
+def _scaled_file(path, name, scale):
+    amps = scale * np.asarray(
+        {"ghz": [1, 0, 0, 0, 0, 0, 0, 1], "zero": [0] * 8}[name], dtype=float
+    )
+    path.write_text(json.dumps({"n": 3, "amplitudes": [[a, 0.0] for a in amps]}))
+    return str(path)
+
+
+def test_unnormalized_tiny_ghz_reports_and_classifies(tmp_path, capsys):
+    # GHZ x 1e-100: ranks and class are properties of the ray
+    path = _scaled_file(tmp_path / "tiny.json", "ghz", 1e-100)
+    report = run_report(["invariants", path], capsys)
+    assert report["normalized"] is False
+    assert report["ranks"] == [2, 2, 2]
+    report = run_report(["classify", path], capsys)
+    assert report["class"] == "GHZ"
+    assert report["ranks"] == [2, 2, 2]
+
+
+def test_all_zero_state_file_is_rejected(tmp_path, capsys):
+    path = _scaled_file(tmp_path / "zero.json", "zero", 1.0)
+    for command in ("invariants", "classify"):
+        code, out, err = run([command, path], capsys)
+        assert code == 2
+        assert out == ""
+        assert "all zero" in err
+
+
 def test_classify_report_w(states, capsys):
     report = run_report(["classify", states["w3"]], capsys)
     assert report["class"] == "W"

@@ -17,6 +17,7 @@ from spinflip import (
     random_state,
     standard_state,
 )
+from spinflip.coeffmat import _local_index
 
 import oracles
 
@@ -174,3 +175,17 @@ def test_coeff_matrix_type_validation():
     mat = CoeffMatrix(part, np.zeros((2, 2), dtype=complex))
     with pytest.raises(ValueError):
         mat.entries[0, 0] = 1.0
+
+
+def test_local_index_gathers_single_qubit_matrices():
+    # one gather gives every C_k, bit for bit, from a cached read-only table
+    for n in range(2, 9):
+        state = random_state(n, 4500 + n)
+        table = _local_index(n)
+        assert table.shape == (n, 2, 2 ** (n - 1))
+        assert not table.flags.writeable
+        assert _local_index(n) is table
+        stack = state.amplitudes[table]
+        for k in range(n):
+            want = coeff_matrix(state, QubitPartition((k + 1,), n)).entries
+            assert np.array_equal(stack[k], want)

@@ -21,7 +21,7 @@ from spinflip import (
     standard_state,
     verify_congruence,
 )
-from spinflip.flip import _times_kernel
+from spinflip.flip import _omega_powers, _times_kernel
 from spinflip.states import parity_signs
 
 import helpers
@@ -237,6 +237,30 @@ def test_omega_power_sequence_consistent():
         assert np.array_equal(item.entries, omega_power(state, part, ell).entries)
 
 
+def test_omega_power_sequence_views_the_stack():
+    # the sequence's entries are read-only views of the stacked recursion,
+    # and each row is exactly the two-step recursion product
+    rng = np.random.default_rng(4100)
+    for n in range(3, 7):
+        state = random_state(n, 4100 + n)
+        part = helpers.random_partition(rng, n)
+        stack = _omega_powers(state, part, 4)
+        seq = omega_power_sequence(state, part, 4)
+        assert stack.shape == (4,) + seq[0].entries.shape
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[1, 0, 0] = 1.0
+        base = omega(state, part).entries
+        current = base
+        for ell, item in enumerate(seq, start=1):
+            assert item.power == ell
+            assert not item.entries.flags.writeable
+            assert item.entries.base is seq[0].entries.base
+            assert np.array_equal(item.entries, stack[ell - 1])
+            assert np.array_equal(item.entries, current)
+            current = _times_kernel(current, part.size) @ base
+
+
 def test_power_validation():
     state = random_state(2, 3)
     part = QubitPartition((1,), 2)
@@ -244,6 +268,8 @@ def test_power_validation():
         omega_power(state, part, 0)
     with pytest.raises(ValidationError):
         omega_power_sequence(state, part, 0)
+    with pytest.raises(ValidationError):
+        _omega_powers(state, part, 0)
 
 
 def test_parity_symmetry_property():

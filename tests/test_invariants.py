@@ -23,6 +23,7 @@ from spinflip import (
     odd_invariants,
     omega,
     omega_power,
+    omega_power_sequence,
     random_local,
     random_state,
     rank_profile,
@@ -30,7 +31,12 @@ from spinflip import (
     standard_state,
     three_qubit_S,
 )
-from spinflip.invariants import _partition_invariants
+from spinflip.invariants import (
+    DEFAULT_RANK_TOL,
+    _partition_invariants,
+    _peak_scaled,
+    _rank,
+)
 
 import helpers
 import oracles
@@ -398,3 +404,71 @@ def test_invariant_profile_multiple_partitions():
 def test_rank_tol_validation():
     with pytest.raises(ValidationError):
         rank_profile(standard_state("ghz", 3), P12_3, 3, tol=-1.0)
+
+
+@pytest.mark.parametrize("max_power", [1, 3, 5])
+def test_partition_invariants_one_svd_call(monkeypatch, max_power):
+    calls = helpers.count_svd_calls(monkeypatch)
+    for state, part in helpers.state_partition_cases(6, max_n=6, seed=4200):
+        calls.clear()
+        inv = _partition_invariants(state, part, max_power)
+        d = 2**part.size
+        assert calls == [(max_power, d, d)]
+        assert len(inv.singular_values) == len(inv.abs_dets) == max_power
+
+
+def test_stacked_spectra_bit_identical_to_per_power():
+    # one stacked SVD gives, bit for bit, the spectra of per-power calls
+    rng = np.random.default_rng(4300)
+    for n in range(3, 9):
+        rows = tuple(range(1, n // 2 + 1))
+        parts = [QubitPartition(rows, n), QubitPartition(rows[::-1], n),
+                 QubitPartition(tuple(range(n - 1, 0, -1)), n),
+                 helpers.random_partition(rng, n)]
+        for k, part in enumerate(parts):
+            state = random_state(n, 4300 + 10 * n + k)
+            inv = _partition_invariants(state, part, 3)
+            seq = omega_power_sequence(state, part, 3)
+            for got, om in zip(inv.singular_values, seq):
+                assert got.ndim == 1
+                assert np.array_equal(got, singular_values(om.entries))
+
+
+def test_rank_rule_vectorised_matches_rowwise():
+    rng = np.random.default_rng(4400)
+    sigma = np.sort(rng.uniform(0, 1, (5, 4)), axis=-1)[:, ::-1]
+    sigma[1, 2:] = 1e-13 * sigma[1, 0]
+    sigma[2] = 0.0
+    sigma[3] = [1e-20, 1e-21, 0.0, 0.0]
+    floors = np.array([1e-12, 1e-12, 1e-12, 1e-12, 2.0])
+    got = _rank(sigma, DEFAULT_RANK_TOL, floors)
+    assert got.tolist() == [4, 2, 0, 0, 0]
+    for row, floor, rank in zip(sigma, floors, got):
+        assert int(_rank(row, DEFAULT_RANK_TOL, floor)) == rank
+    assert type(numerical_rank(np.eye(3))) is int
+
+
+SCALES = [1e-150, 1e-100, 1e-50, 1e50, 1e100, 1e150]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("name", ["GHZ", "W", "C-AB"])
+def test_rank_profile_at_any_scale(name, scale):
+    # ranks are properties of the ray; raw scales would underflow or
+    # overflow Omega^(l), which scales as c^(2l)
+    seed = helpers.class_seeds()[name]
+    scaled = PureState(3, scale * seed.amplitudes, normalized=False)
+    assert rank_profile(scaled, P12_3, 3).ranks == rank_profile(seed, P12_3, 3).ranks
+
+
+def test_peak_scaled_is_exact_and_handles_subnormal_peaks():
+    ghz = standard_state("ghz", 3)
+    for scale in (1e-310, 3e-200, 1e250):
+        raw = PureState(3, scale * (1 + 2j) * ghz.amplitudes, normalized=False)
+        out = _peak_scaled(raw)
+        peak = float(np.max(np.abs(out.amplitudes)))
+        assert 0.5 <= peak < 1.0
+        _, exp = math.frexp(float(np.max(np.abs(raw.amplitudes))))
+        assert np.array_equal(out.amplitudes * 2.0**exp, raw.amplitudes)
+        assert rank_profile(raw, P12_3, 3).ranks == (2, 2, 2)
+    assert _peak_scaled(ghz) is ghz

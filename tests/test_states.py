@@ -370,6 +370,10 @@ def test_parse_state_errors():
         parse_state('{"n": 1, "amplitudes": [1, 0]}')
     with pytest.raises(ValidationError):
         parse_state('{"n": 1, "amplitudes": [["a", 0], [0, 0]]}')
+    with pytest.raises(ValidationError, match="all zero"):
+        parse_state('{"n": 2, "amplitudes": [[0, 0], [0, 0], [0, -0.0], [0, 0]]}')
+    # any nonzero norm is accepted, even one whose square underflows
+    assert not parse_state('{"n": 1, "amplitudes": [[1e-200, 0], [0, 0]]}').normalized
 
 
 def test_operator_serialization_round_trip():
