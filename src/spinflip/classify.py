@@ -35,9 +35,10 @@ DEFAULT_COMPARE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SloccClass:
-    """SLOCC class label; classify_three also attaches its evidence, the
-    rows {1,2} rank triple and the single-qubit local ranks, which take no
-    part in equality."""
+    """SLOCC class label with its evidence, which takes no part in
+    equality: the powers 1..3 ranks of the default partition (rows {1} for
+    two qubits, {1,2} for three) and, from classify_three, the single-qubit
+    local ranks."""
 
     label: str
     ranks: tuple[int, ...] | None = field(default=None, compare=False)
@@ -105,15 +106,16 @@ class FamilyLabel:
 
 
 def classify_two(state: PureState, tol: float = DEFAULT_RANK_TOL) -> SloccClass:
-    """Two-qubit classes: the power-1 matrix has rank 2 (entangled) or 0."""
+    """Two-qubit classes: the power-1 matrix has rank 2 (entangled) or 0.
+    The powers 1..3 ranks ride along as evidence."""
     if state.n != 2:
         raise ValidationError("classify_two requires exactly 2 qubits")
-    profile = rank_profile(state, QubitPartition((1,), 2), 1, tol)
-    rank = profile.ranks[0]
+    ranks = rank_profile(state, QubitPartition((1,), 2), 3, tol).ranks
+    rank = ranks[0]
     if rank == 2:
-        return SloccClass("entangled")
+        return SloccClass("entangled", ranks)
     if rank == 0:
-        return SloccClass("product")
+        return SloccClass("product", ranks)
     raise ToleranceInconsistency(
         f"two-qubit power-1 matrix has rank {rank}; expected 0 or 2",
         details={"rank": rank, "tol": tol},
@@ -313,15 +315,14 @@ def slocc_compare(
         la, lb = classify(a, tol), classify(b, tol)
         if la != lb:
             return CompareVerdict("inequivalent", Witness("class", la.label, lb.label))
-    partition = QubitPartition(default_rows(a.n), a.n)
-    if a.n == 3:
         ra, rb = la.ranks, lb.ranks
     else:
+        partition = QubitPartition(default_rows(a.n), a.n)
         ra = rank_profile(a, partition, 3, tol).ranks
         rb = rank_profile(b, partition, 3, tol).ranks
     if ra != rb:
         return CompareVerdict(
-            "inequivalent", Witness("ranks", ra, rb, rows=partition.rows)
+            "inequivalent", Witness("ranks", ra, rb, rows=default_rows(a.n))
         )
     return CompareVerdict("not-distinguished")
 

@@ -38,8 +38,6 @@ from .invariants import (
 )
 from .states import (
     AcinForm,
-    LocalOperator,
-    PureState,
     acin_state,
     apply_local,
     parse_operator,
@@ -54,74 +52,39 @@ TOOL_NAME = "spinflip"
 DEFAULT_RESIDUAL_TOL = 1e-8
 
 
-def _format_float(x: float) -> str:
-    # 17 significant digits round-trip IEEE doubles exactly
-    return format(float(x), ".17g")
-
-
-def _emit_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = ",\n".join(
-            f'{inner}"{key}": {_emit_json(val, indent + 1)}'
-            for key, val in value.items()
-        )
-        return "{\n" + rows + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple, complex)) for v in value)
-        if flat:
-            return "[" + ", ".join(_emit_json(v, indent) for v in value) + "]"
-        rows = ",\n".join(f"{inner}{_emit_json(v, indent + 1)}" for v in value)
-        return "[\n" + rows + "\n" + pad + "]"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(value)
+def _jsonable(value):
+    """json.dumps hook: complex numbers become [re, im] pairs, numpy arrays
+    and scalars their Python counterparts."""
     if isinstance(value, (complex, np.complexfloating)):
-        z = complex(value)
-        return f"[{_format_float(z.real)}, {_format_float(z.imag)}]"
-    if isinstance(value, np.ndarray):
-        return _emit_json(value.tolist(), indent)
+        return [value.real, value.imag]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _emit_json(value) -> str:
+    # floats go out as their shortest round-trip repr
+    return json.dumps(value, indent=2, default=_jsonable)
 
 
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+        return
+    try:
         with open(path, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-def _read_state(path: str) -> PureState:
+def _read(path: str, parse, what: str):
     try:
         with open(path) as handle:
             text = handle.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read state file {path}: {exc}") from exc
-    return parse_state(text)
-
-
-def _read_operator(path: str) -> LocalOperator:
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read operator file {path}: {exc}") from exc
-    return parse_operator(text)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
+    return parse(text)
 
 
 def _parse_rows(spec: str | None, n: int) -> QubitPartition:
@@ -169,8 +132,8 @@ def _witness_payload(witness) -> dict | None:
     return payload
 
 
-def _cmd_invariants(args) -> int:
-    state = _read_state(args.state)
+def _cmd_invariants(args) -> dict:
+    state = _read(args.state, parse_state, "state")
     partition = _parse_rows(args.rows, state.n)
     report = _config(args, "invariants", partition.rows)
     report["n"] = state.n
@@ -214,33 +177,25 @@ def _cmd_invariants(args) -> int:
         report["partitions"] = [
             {"rows": list(partition.rows), "ranks": list(rp.ranks), "tolerance": rp.tolerance}
         ]
-    _write_output(_emit_json(report), args.output)
-    return 0
+    return report
 
 
-def _cmd_classify(args) -> int:
-    state = _read_state(args.state)
-    if state.n == 2:
-        label = classify_two(state, args.tol)
-        partition = QubitPartition((1,), 2)
-        ranks = rank_profile(state, partition, 3, args.tol).ranks
-    elif state.n == 3:
-        label = classify_three(state, args.tol)
-        partition = QubitPartition((1, 2), 3)
-        ranks = label.ranks
-    else:
+def _cmd_classify(args) -> dict:
+    state = _read(args.state, parse_state, "state")
+    classify = {2: classify_two, 3: classify_three}.get(state.n)
+    if classify is None:
         raise ValidationError("classify handles 2- and 3-qubit states only")
-    report = _config(args, "classify", partition.rows)
+    label = classify(state, args.tol)
+    report = _config(args, "classify", default_rows(state.n))
     report["n"] = state.n
     report["class"] = label.label
-    report["ranks"] = list(ranks)
-    if state.n == 3:
+    report["ranks"] = list(label.ranks)
+    if label.local_ranks is not None:
         report["local_ranks"] = list(label.local_ranks)
-    _write_output(_emit_json(report), args.output)
-    return 0
+    return report
 
 
-def _cmd_classify_acin(args) -> int:
+def _cmd_classify_acin(args) -> dict:
     form = _parse_acin(args.acin, args.phi)
     label, triple, s_value = classify_acin(form, args.tol)
     report = _config(args, "classify-acin", (1, 2))
@@ -249,12 +204,11 @@ def _cmd_classify_acin(args) -> int:
     report["class"] = label.label
     report["ranks"] = list(triple)
     report["s"] = s_value
-    _write_output(_emit_json(report), args.output)
-    return 0
+    return report
 
 
-def _cmd_compare_lu(args) -> int:
-    a, b = _read_state(args.state_a), _read_state(args.state_b)
+def _cmd_compare_lu(args) -> dict:
+    a, b = (_read(path, parse_state, "state") for path in (args.state_a, args.state_b))
     partition = _parse_rows(args.rows, a.n)
     verdict = lu_compare(
         a, b, [partition], args.max_power, args.compare_tol, args.tol
@@ -264,22 +218,20 @@ def _cmd_compare_lu(args) -> int:
     )
     report["relation"] = verdict.relation
     report["witness"] = _witness_payload(verdict.witness)
-    _write_output(_emit_json(report), args.output)
-    return 0
+    return report
 
 
-def _cmd_compare_slocc(args) -> int:
-    a, b = _read_state(args.state_a), _read_state(args.state_b)
+def _cmd_compare_slocc(args) -> dict:
+    a, b = (_read(path, parse_state, "state") for path in (args.state_a, args.state_b))
     verdict = slocc_compare(a, b, args.tol)
     report = _config(args, "compare-slocc", default_rows(a.n))
     report["relation"] = verdict.relation
     report["witness"] = _witness_payload(verdict.witness)
-    _write_output(_emit_json(report), args.output)
-    return 0
+    return report
 
 
-def _cmd_family(args) -> int:
-    state = _read_state(args.state)
+def _cmd_family(args) -> dict:
+    state = _read(args.state, parse_state, "state")
     label = family_label(state, args.tol)
     rows = default_rows(state.n) if state.n == 3 else None
     report = _config(args, "family", rows)
@@ -287,11 +239,10 @@ def _cmd_family(args) -> int:
     report["value"] = label.value
     if label.slocc_class is not None:
         report["class"] = label.slocc_class
-    _write_output(_emit_json(report), args.output)
-    return 0
+    return report
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> str:
     chosen = [args.state is not None, args.random, args.acin is not None]
     if sum(chosen) != 1:
         raise ValidationError("gen needs exactly one of --state, --random, --acin")
@@ -305,20 +256,18 @@ def _cmd_gen(args) -> int:
         state = random_state(args.n, args.seed)
     else:
         state = acin_state(_parse_acin(args.acin, args.phi))
-    _write_output(serialize_state(state), args.output)
-    return 0
+    return serialize_state(state)
 
 
-def _cmd_apply(args) -> int:
-    state = _read_state(args.state)
-    op = _read_operator(args.operator)
-    _write_output(serialize_state(apply_local(state, op)), args.output)
-    return 0
+def _cmd_apply(args) -> str:
+    state = _read(args.state, parse_state, "state")
+    op = _read(args.operator, parse_operator, "operator")
+    return serialize_state(apply_local(state, op))
 
 
-def _cmd_verify_congruence(args) -> int:
-    state = _read_state(args.state)
-    op = _read_operator(args.operator)
+def _cmd_verify_congruence(args) -> dict:
+    state = _read(args.state, parse_state, "state")
+    op = _read(args.operator, parse_operator, "operator")
     partition = _parse_rows(args.rows, state.n)
     outcome = verify_congruence(state, op, partition, args.power)
     report = _config(
@@ -329,8 +278,7 @@ def _cmd_verify_congruence(args) -> int:
     report["beta"] = outcome.beta
     report["residual"] = outcome.residual
     report["passed"] = bool(outcome.residual < args.residual_tol)
-    _write_output(_emit_json(report), args.output)
-    return 0
+    return report
 
 
 def _add_common(parser, rows=False, power=False, compare=False):
@@ -426,14 +374,18 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        output = args.func(args)
+        # gen and apply return a state file's text, every other command a report
+        text = output if isinstance(output, str) else _emit_json(output) + "\n"
+        _write_output(text, args.output)
     except ToleranceInconsistency as exc:
         print(f"{TOOL_NAME}: tolerance inconsistency: {exc}", file=sys.stderr)
-        print(json.dumps(exc.details), file=sys.stderr)
+        print(json.dumps(exc.details, default=_jsonable), file=sys.stderr)
         return 3
     except ValidationError as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -76,11 +76,15 @@ def _times_kernel(mat: np.ndarray, k: int) -> np.ndarray:
     return mat[:, ::-1] * parity_signs(k)[::-1]
 
 
+def _power_one(state: PureState, partition: QubitPartition) -> np.ndarray:
+    """C v^{(x)(n-i)} C^T, before its symmetry check."""
+    cmat = coeff_matrix(state, partition).entries
+    return _times_kernel(cmat, state.n - partition.size) @ cmat.T
+
+
 def omega(state: PureState, partition: QubitPartition) -> OmegaMatrix:
     """Power-1 spin-flipping matrix C v^{(x)(n-i)} C^T."""
-    cmat = coeff_matrix(state, partition).entries
-    entries = _times_kernel(cmat, state.n - partition.size) @ cmat.T
-    return OmegaMatrix(partition, 1, entries)
+    return OmegaMatrix(partition, 1, _power_one(state, partition))
 
 
 def omega_power(state: PureState, partition: QubitPartition, ell: int = 1) -> OmegaMatrix:
@@ -90,18 +94,14 @@ def omega_power(state: PureState, partition: QubitPartition, ell: int = 1) -> Om
     return omega_power_sequence(state, partition, ell)[-1]
 
 
-def _omega_powers(
-    state: PureState, partition: QubitPartition, max_power: int
+def _stack_powers(
+    base: np.ndarray, partition: QubitPartition, max_power: int
 ) -> np.ndarray:
-    """Powers 1..max_power as one read-only (max_power, d, d) stack.
-
-    Row 0 is omega(), so power 1 keeps its symmetry check; each later row
-    is written in place by the recursion, so the whole stack can go to
-    LAPACK in one call.
-    """
+    """Powers 1..max_power of the power-1 matrix base as one read-only
+    (max_power, d, d) stack. Each later row is written in place by the
+    recursion, so the whole stack can go to LAPACK in one call."""
     if max_power < 1:
         raise ValidationError(f"max_power must be >= 1, got {max_power}")
-    base = omega(state, partition).entries
     stack = np.empty((max_power,) + base.shape, dtype=complex)
     stack[0] = base
     for ell in range(1, max_power):
@@ -110,11 +110,19 @@ def _omega_powers(
     return stack
 
 
+def _omega_powers(
+    state: PureState, partition: QubitPartition, max_power: int
+) -> np.ndarray:
+    """The power stack with row 0 from omega(), which checks power 1."""
+    return _stack_powers(omega(state, partition).entries, partition, max_power)
+
+
 def omega_power_sequence(
     state: PureState, partition: QubitPartition, max_power: int
 ) -> list[OmegaMatrix]:
-    """Powers 1..max_power, sharing one pass of the recursion."""
-    stack = _omega_powers(state, partition, max_power)
+    """Powers 1..max_power, sharing one pass of the recursion. Each entry
+    views one row of the stack; power 1 is checked once, on row 0."""
+    stack = _stack_powers(_power_one(state, partition), partition, max_power)
     return [OmegaMatrix(partition, ell, mat) for ell, mat in enumerate(stack, start=1)]
 
 

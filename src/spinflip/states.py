@@ -69,11 +69,15 @@ class PureState:
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
         if self.normalized:
+            # a NaN or infinite amplitude makes norm_sq NaN or infinite,
+            # and both fail this test
             norm_sq = float(np.sum(np.abs(vec) ** 2))
-            if abs(norm_sq - 1.0) > NORM_ATOL:
+            if not abs(norm_sq - 1.0) <= NORM_ATOL:
                 raise ValidationError(
                     f"state marked normalized but sum |a_i|^2 = {norm_sq!r}"
                 )
+        elif not np.isfinite(vec).all():
+            raise ValidationError("amplitudes must be finite")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -143,12 +147,13 @@ class AcinForm:
 
     def __post_init__(self):
         lams = self.lambdas()
-        if any(l < 0 for l in lams):
-            raise ValidationError(f"lambdas must be nonnegative, got {lams}")
+        # written so that NaN fails every test
+        if not all(0.0 <= l < math.inf for l in lams):
+            raise ValidationError(f"lambdas must be finite and nonnegative, got {lams}")
         if not 0.0 <= self.phi <= math.pi:
             raise ValidationError(f"phi must lie in [0, pi], got {self.phi}")
         norm_sq = sum(l * l for l in lams)
-        if abs(norm_sq - 1.0) > NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:
             raise ValidationError(f"sum lambda_i^2 = {norm_sq!r}, expected 1")
 
     def lambdas(self) -> tuple[float, float, float, float, float]:
@@ -296,16 +301,24 @@ def random_local(n: int, kind: str = "unitary", seed: int | None = None) -> Loca
     return LocalOperator(tuple(factors), kind=kind)
 
 
-def _pairs_to_complex(pairs, what: str) -> np.ndarray:
+def _pairs_to_complex(pairs, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex array of the given shape from nested [re, im] pairs."""
     try:
         arr = np.asarray(pairs, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be numeric [re, im] pairs") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValidationError(f"{what} must be a list of [re, im] pairs")
-    if not np.all(np.isfinite(arr)):
+    if arr.shape != shape + (2,):
+        raise ValidationError(
+            f"{what} must have shape {shape + (2,)} ([re, im] pairs), got {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contain non-finite numbers")
-    return arr[:, 0] + 1j * arr[:, 1]
+    # a view, not re + 1j * im, which turns -0.0 into 0.0
+    return arr.view(complex)[..., 0]
+
+
+def _complex_to_pairs(values: np.ndarray) -> list:
+    return np.stack([values.real, values.imag], -1).tolist()
 
 
 def parse_state(text: str) -> PureState:
@@ -321,11 +334,7 @@ def parse_state(text: str) -> PureState:
         raise ValidationError(f"n must be an integer, got {n!r}")
     if not 1 <= n <= MAX_QUBITS:
         raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {n}")
-    amps = _pairs_to_complex(doc["amplitudes"], "amplitudes")
-    if amps.shape != (2**n,):
-        raise ValidationError(
-            f"expected {2**n} amplitudes for n={n}, got {amps.shape[0]}"
-        )
+    amps = _pairs_to_complex(doc["amplitudes"], "amplitudes", (2**n,))
     if not np.any(amps):
         raise ValidationError("amplitudes are all zero; a state needs a nonzero norm")
     norm_sq = float(np.sum(np.abs(amps) ** 2))
@@ -333,12 +342,10 @@ def parse_state(text: str) -> PureState:
 
 
 def serialize_state(state: PureState) -> str:
-    """Serialize to the JSON state-file format at full double precision."""
-    rows = ",\n    ".join(
-        f"[{format(a.real, '.17g')}, {format(a.imag, '.17g')}]"
-        for a in state.amplitudes
-    )
-    return f'{{\n  "n": {state.n},\n  "amplitudes": [\n    {rows}\n  ]\n}}\n'
+    """Serialize to the one-line JSON state-file format; floats are written
+    as their shortest round-trip repr, so parsing restores every bit."""
+    doc = {"n": state.n, "amplitudes": _complex_to_pairs(state.amplitudes)}
+    return json.dumps(doc) + "\n"
 
 
 def parse_operator(text: str) -> LocalOperator:
@@ -349,38 +356,17 @@ def parse_operator(text: str) -> LocalOperator:
         raise ValidationError(f"operator file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc or "factors" not in doc:
         raise ValidationError('operator file must be {"kind": ..., "factors": ...}')
-    kind = doc["kind"]
-    factors = []
-    for k, raw in enumerate(doc["factors"]):
-        try:
-            arr = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"factor {k} must be numeric") from exc
-        if arr.shape != (2, 2, 2):
-            raise ValidationError(
-                f"factor {k} must be a 2x2 matrix of [re, im] pairs"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"factor {k} contains non-finite numbers")
-        factors.append(arr[..., 0] + 1j * arr[..., 1])
-    return LocalOperator(tuple(factors), kind=kind)
+    if not isinstance(doc["factors"], list):
+        raise ValidationError("factors must be a list of 2x2 matrices")
+    factors = tuple(
+        _pairs_to_complex(raw, f"factor {k}", (2, 2))
+        for k, raw in enumerate(doc["factors"])
+    )
+    return LocalOperator(factors, kind=doc["kind"])
 
 
 def serialize_operator(op: LocalOperator) -> str:
-    """Serialize to the JSON operator-file format at full double precision."""
-
-    def fmt(x: float) -> str:
-        return format(x, ".17g")
-
-    factor_rows = []
-    for mat in op.factors:
-        rows = ",\n      ".join(
-            "[[{}, {}], [{}, {}]]".format(
-                fmt(mat[r, 0].real), fmt(mat[r, 0].imag),
-                fmt(mat[r, 1].real), fmt(mat[r, 1].imag),
-            )
-            for r in range(2)
-        )
-        factor_rows.append(f"[\n      {rows}\n    ]")
-    body = ",\n    ".join(factor_rows)
-    return f'{{\n  "kind": "{op.kind}",\n  "factors": [\n    {body}\n  ]\n}}\n'
+    """Serialize to the one-line JSON operator-file format, floats as in
+    serialize_state."""
+    doc = {"kind": op.kind, "factors": _complex_to_pairs(np.array(op.factors))}
+    return json.dumps(doc) + "\n"

@@ -89,6 +89,37 @@ def test_classify_three_two_svd_calls(monkeypatch):
         assert sorted(calls) == [(3, 2, 4), (3, 4, 4)]
 
 
+def test_classify_two_carries_its_ranks_in_one_svd_call(monkeypatch):
+    # one stacked SVD gives the powers 1..3 ranks; the label reads power 1
+    calls = helpers.count_svd_calls(monkeypatch)
+    got = classify_two(standard_state("bell"))
+    assert calls == [(3, 2, 2)]
+    assert (got.label, got.ranks, got.local_ranks) == ("entangled", (2, 2, 2), None)
+    calls.clear()
+    ket01 = PureState(2, np.array([0, 1, 0, 0], dtype=complex))
+    assert classify_two(ket01).ranks == (0, 0, 0)
+    assert calls == [(3, 2, 2)]
+
+
+def test_slocc_compare_two_qubits_reuses_class_ranks(monkeypatch):
+    bell = standard_state("bell")
+    moved = apply_local(bell, random_local(2, "invertible", 6950))
+    calls = helpers.count_svd_calls(monkeypatch)
+    assert slocc_compare(bell, moved).relation == "not-distinguished"
+    assert calls == [(3, 2, 2)] * 2
+
+
+def test_classify_two_concurrence_sweep():
+    # cos t |00> + sin t |11> has concurrence sin 2t; the three ranks move
+    # together, so the sweep never trips RankProfile's monotonicity check
+    for c in np.logspace(-14, 0, 801):
+        t = math.asin(c) / 2
+        state = PureState(2, np.array([math.cos(t), 0, 0, math.sin(t)], dtype=complex))
+        got = classify_two(state)
+        assert got.ranks in ((2, 2, 2), (0, 0, 0)), (c, got.ranks)
+        assert got.label == ("entangled" if got.ranks[0] == 2 else "product")
+
+
 def test_classify_three_carries_its_evidence():
     # the attached triple and local ranks are what the separate routes give,
     # on the six seeds and on their LU and SLOCC orbits

@@ -12,6 +12,8 @@ import pytest
 from spinflip import LocalOperator, random_local, serialize_operator
 from spinflip.cli import main
 
+import helpers
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 _SCHEMA = json.loads(
@@ -117,6 +119,14 @@ def test_gen_source_validation(capsys):
     assert run(["gen", "--acin", "a,b,c,d,e"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("weights", ["nan,0,0,0,0", "1,0,0,0,inf", "1,0,nan,0,0"])
+def test_gen_rejects_non_finite_weights(weights, capsys):
+    code, out, err = run(["gen", "--acin", weights], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_invariants_report_ghz3(states, capsys):
     report = run_report(
         ["invariants", states["ghz3"], "--rows", "1,2", "--max-power", "3"], capsys
@@ -202,6 +212,13 @@ def test_classify_report_bell(states, capsys):
     assert report["class"] == "entangled"
     assert report["ranks"] == [2, 2, 2]
     assert "local_ranks" not in report
+
+
+def test_classify_bell_makes_one_svd_call(states, capsys, monkeypatch):
+    calls = helpers.count_svd_calls(monkeypatch)
+    report = run_report(["classify", states["bell"]], capsys)
+    assert (report["class"], report["ranks"]) == ("entangled", [2, 2, 2])
+    assert calls == [(3, 2, 2)]
 
 
 def test_classify_rejects_four_qubits(states, capsys):
@@ -339,6 +356,17 @@ def test_exit_codes_for_bad_input(states, tmp_path, capsys):
     assert run(["frobnicate"], capsys)[0] == 2
     assert run([], capsys)[0] == 2
     assert run(["invariants", states["ghz3"], "--rows", "1;2"], capsys)[0] == 2
+
+    not_a_list = tmp_path / "factors5.json"
+    not_a_list.write_text('{"kind": "unitary", "factors": 5}')
+    assert run(["apply", states["ghz3"], str(not_a_list)], capsys)[0] == 2
+
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    assert run(["invariants", str(binary)], capsys)[0] == 2
+
+    unwritable = str(tmp_path / "missing-dir" / "report.json")
+    assert run(["classify", states["ghz3"], "-o", unwritable], capsys)[0] == 2
 
 
 def test_report_determinism(states, tmp_path, capsys):

@@ -261,6 +261,32 @@ def test_omega_power_sequence_views_the_stack():
             current = _times_kernel(current, part.size) @ base
 
 
+def test_power_one_checked_once_per_sequence(monkeypatch):
+    # power 1's symmetry check runs once per sequence, on stack row 0
+    built = []
+    post_init = OmegaMatrix.__post_init__
+
+    def counting(self):
+        built.append(self.power)
+        post_init(self)
+
+    monkeypatch.setattr(OmegaMatrix, "__post_init__", counting)
+    state = random_state(4, 4200)
+    part = QubitPartition((1, 3), 4)
+    for max_power in (1, 3):
+        built.clear()
+        seq = omega_power_sequence(state, part, max_power)
+        assert built == list(range(1, max_power + 1))
+        stack = _omega_powers(state, part, max_power)
+        for ell, item in enumerate(seq, start=1):
+            assert np.array_equal(item.entries, stack[ell - 1])
+            assert not item.entries.flags.writeable
+    op = random_local(4, "invertible", 4201)
+    built.clear()
+    assert verify_congruence(state, op, part, 1).residual < 1e-10
+    assert built == [1, 1]
+
+
 def test_power_validation():
     state = random_state(2, 3)
     part = QubitPartition((1,), 2)

@@ -190,6 +190,27 @@ def test_pure_state_validation():
         PureState(15, np.zeros(2**15, dtype=complex), normalized=False)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    amps = np.array([bad, 0, 0, 0], dtype=complex)
+    with pytest.raises(ValidationError, match="finite"):
+        PureState(2, amps, normalized=False)
+    # the norm test fails for a NaN or infinite sum, so it covers normalized states
+    with pytest.raises(ValidationError, match="normalized"):
+        PureState(2, amps)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_acin_form_rejects_non_finite_weights(bad):
+    for slot in range(5):
+        lams = [0.0] * 5
+        lams[slot] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            AcinForm(*lams)
+    with pytest.raises(ValidationError):
+        AcinForm(1.0, 0.0, 0.0, 0.0, 0.0, phi=bad)
+
+
 def test_pure_state_is_immutable():
     state = standard_state("bell")
     with pytest.raises(ValueError):
@@ -397,6 +418,24 @@ def test_parse_operator_errors():
     }
     with pytest.raises(ValidationError):
         parse_operator(json.dumps(bad).replace('"x"', "Infinity"))
+
+
+def test_parse_operator_rejects_non_list_factors():
+    for factors in (5, "ab", {"0": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, None):
+        doc = json.dumps({"kind": "unitary", "factors": factors})
+        with pytest.raises(ValidationError, match="factors must be a list"):
+            parse_operator(doc)
+
+
+def test_state_and_operator_files_are_one_line():
+    state = random_state(4, 710)
+    state_text = serialize_state(state)
+    op_text = serialize_operator(random_local(4, "invertible", 711))
+    for text in (state_text, op_text):
+        assert text.endswith("\n") and text.count("\n") == 1
+    # floats are written as Python's shortest round-trip repr
+    a0 = complex(state.amplitudes[0])
+    assert state_text.startswith(f'{{"n": 4, "amplitudes": [[{a0.real!r}, {a0.imag!r}], ')
 
 
 def test_index_convention_round_trip():
