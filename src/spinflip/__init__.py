@@ -18,13 +18,12 @@ from .classify import (
     lu_compare,
     slocc_compare,
 )
-from .coeffmat import CoeffMatrix, QubitPartition, coeff_matrix, local_rank
+from .coeffmat import QubitPartition, coeff_matrix, local_rank
 from .errors import ToleranceInconsistency, ValidationError
 from .flip import (
     CongruenceReport,
     OmegaMatrix,
     omega,
-    omega_power,
     omega_power_sequence,
     verify_congruence,
 )
@@ -32,11 +31,9 @@ from .invariants import (
     InvariantProfile,
     OddInvariants,
     RankProfile,
-    abs_det_omega,
     concurrence_even,
     default_rows,
     invariant_profile,
-    numerical_rank,
     odd_invariants,
     rank_profile,
     singular_values,
@@ -48,7 +45,6 @@ from .states import (
     PureState,
     acin_state,
     apply_local,
-    parity,
     parse_operator,
     parse_state,
     random_local,
@@ -62,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcinForm",
-    "CoeffMatrix",
     "CompareVerdict",
     "CongruenceReport",
     "FamilyLabel",
@@ -77,7 +72,6 @@ __all__ = [
     "ToleranceInconsistency",
     "ValidationError",
     "Witness",
-    "abs_det_omega",
     "acin_state",
     "apply_local",
     "classify_acin",
@@ -90,12 +84,9 @@ __all__ = [
     "invariant_profile",
     "local_rank",
     "lu_compare",
-    "numerical_rank",
     "odd_invariants",
     "omega",
-    "omega_power",
     "omega_power_sequence",
-    "parity",
     "parse_operator",
     "parse_state",
     "random_local",

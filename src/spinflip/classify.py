@@ -8,7 +8,6 @@ conditions only: a not-distinguished verdict never asserts equivalence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +17,7 @@ from .errors import ToleranceInconsistency, ValidationError
 from .invariants import (
     DEFAULT_RANK_TOL,
     _partition_invariants,
+    _peak_scaled,
     _require_normalized,
     concurrence_even,
     default_rows,
@@ -25,7 +25,7 @@ from .invariants import (
     rank_profile,
     three_qubit_S,
 )
-from .states import AcinForm, PureState, acin_state
+from .states import AcinForm, PureState, _norm, acin_state
 
 THREE_QUBIT_LABELS = ("GHZ", "W", "A-BC", "B-AC", "C-AB", "A-B-C")
 TWO_QUBIT_LABELS = ("entangled", "product")
@@ -131,36 +131,37 @@ _TRIPLES = {
     "A-B-C": (0, 0, 0),
 }
 
+# labels by the qubits whose local rank is 1, i.e. that factor out
+_SEPARATED = {(1,): "A-BC", (2,): "B-AC", (3,): "C-AB", (1, 2, 3): "A-B-C"}
+
 
 def classify_three(state: PureState, tol: float = DEFAULT_RANK_TOL) -> SloccClass:
     """Six-class SLOCC classification of a three-qubit state.
 
-    Rank triples separate GHZ and W; the biseparable and product classes
-    share triples (2,0,0)/(0,0,0) and are told apart by which single qubits
-    have local rank 1. The triple and the local ranks must tell a
-    consistent story or the input sits on a tolerance boundary.
+    The single-qubit local ranks name the qubits that factor out: none
+    (all at 2) for GHZ and W, which the rank triple then tells apart; one
+    for the biseparable classes and all three for the product class, whose
+    triples (2,0,0)/(0,0,0) are shared. The triple and the local ranks must
+    tell a consistent story or the input sits on a tolerance boundary.
     """
     if state.n != 3:
         raise ValidationError("classify_three requires exactly 3 qubits")
+    # local ranks, like rank_profile, read the ray at the exact peak scale
+    state = _peak_scaled(state)
     triple = rank_profile(state, QubitPartition((1, 2), 3), 3, tol).ranks
     local = _local_ranks(state, tol)
-    if triple == (2, 2, 2):
-        return SloccClass("GHZ", triple, local)
-    if triple == (2, 1, 0):
-        return SloccClass("W", triple, local)
-    separated = tuple(q for q in (1, 2, 3) if local[q - 1] == 1)
-    if len(separated) == 3:
-        label = "A-B-C"
-    elif len(separated) == 1:
-        label = {1: "A-BC", 2: "B-AC", 3: "C-AB"}[separated[0]]
+    if local == (2, 2, 2):
+        label = {_TRIPLES["GHZ"]: "GHZ", _TRIPLES["W"]: "W"}.get(triple)
     else:
+        label = _SEPARATED.get(tuple(q for q in (1, 2, 3) if local[q - 1] == 1))
+    if label is None:
         raise ToleranceInconsistency(
             f"rank triple {triple} with local ranks {local} matches no class",
             details={"triple": triple, "local_ranks": local, "tol": tol},
         )
     if triple != _TRIPLES[label]:
         raise ToleranceInconsistency(
-            f"local ranks point to {label} but the rank triple is {triple}",
+            f"local ranks {local} point to {label} but the rank triple is {triple}",
             details={"triple": triple, "local_ranks": local, "label": label},
         )
     return SloccClass(label, triple, local)
@@ -278,16 +279,15 @@ def lu_compare(
 def _unit(state: PureState) -> PureState:
     """Rescale to unit norm; SLOCC comparisons are statements about rays.
 
-    Dividing by max |a_i| first keeps the squares inside the norm from
-    underflowing or overflowing at extreme scales.
+    The exact power-of-two rescaling of _peak_scaled comes first, so the
+    norm never divides by a subnormal or huge number and cannot overflow.
     """
     if state.normalized:
         return state
-    peak = float(np.max(np.abs(state.amplitudes)))
-    if peak <= 0.0 or not math.isfinite(peak):
-        raise ValidationError("cannot compare a zero or non-finite state")
-    amps = state.amplitudes / peak
-    return PureState(state.n, amps / np.linalg.norm(amps))
+    if not np.any(state.amplitudes):
+        raise ValidationError("cannot compare a zero state")
+    amps = _peak_scaled(state).amplitudes
+    return PureState(state.n, amps / _norm(amps))
 
 
 def slocc_compare(
@@ -334,7 +334,7 @@ def _pair_concurrence_of_ab(state: PureState) -> float:
     left singular vector scaled by the top singular value is the pair's
     two-qubit amplitude vector (unit norm, phase-immaterial).
     """
-    cmat = coeff_matrix(state, QubitPartition((1, 2), 3)).entries
+    cmat = coeff_matrix(state, QubitPartition((1, 2), 3))
     u, sigma, _ = np.linalg.svd(cmat)
     chi = sigma[0] * u[:, 0]
     return float(abs(chi[0] * chi[3] - chi[1] * chi[2]))

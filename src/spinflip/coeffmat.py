@@ -9,7 +9,7 @@ index. Entry (r, c) is the amplitude whose index combines those bits.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,23 +48,8 @@ class QubitPartition:
         return tuple(q for q in range(1, self.n + 1) if q not in self.rows)
 
 
-@dataclass(frozen=True)
-class CoeffMatrix:
-    partition: QubitPartition
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        ell = self.partition.size
-        expected = (2**ell, 2 ** (self.partition.n - ell))
-        mat = np.asarray(self.entries, dtype=complex)
-        if mat.shape != expected:
-            raise ValidationError(f"entries must have shape {expected}, got {mat.shape}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
-
-
-def coeff_matrix(state: PureState, partition: QubitPartition) -> CoeffMatrix:
-    """Reshape the amplitude vector into the partition's coefficient matrix.
+def coeff_matrix(state: PureState, partition: QubitPartition) -> np.ndarray:
+    """The partition's coefficient matrix, a read-only (2^i, 2^(n-i)) array.
 
     Axis k of the reshaped tensor is qubit k+1 (most significant bit first),
     so moving the row-qubit axes to the front and flattening gives the
@@ -77,8 +62,9 @@ def coeff_matrix(state: PureState, partition: QubitPartition) -> CoeffMatrix:
     n, ell = state.n, partition.size
     tensor = state.amplitudes.reshape([2] * n)
     order = [q - 1 for q in partition.rows] + [q - 1 for q in partition.columns()]
-    entries = tensor.transpose(order).reshape(2**ell, 2 ** (n - ell))
-    return CoeffMatrix(partition, entries)
+    mat = tensor.transpose(order).reshape(2**ell, 2 ** (n - ell))
+    mat.setflags(write=False)
+    return mat
 
 
 @lru_cache(maxsize=None)

@@ -78,20 +78,13 @@ def _times_kernel(mat: np.ndarray, k: int) -> np.ndarray:
 
 def _power_one(state: PureState, partition: QubitPartition) -> np.ndarray:
     """C v^{(x)(n-i)} C^T, before its symmetry check."""
-    cmat = coeff_matrix(state, partition).entries
+    cmat = coeff_matrix(state, partition)
     return _times_kernel(cmat, state.n - partition.size) @ cmat.T
 
 
 def omega(state: PureState, partition: QubitPartition) -> OmegaMatrix:
     """Power-1 spin-flipping matrix C v^{(x)(n-i)} C^T."""
     return OmegaMatrix(partition, 1, _power_one(state, partition))
-
-
-def omega_power(state: PureState, partition: QubitPartition, ell: int = 1) -> OmegaMatrix:
-    """l-spin-flipping matrix: the last element of the power sequence."""
-    if ell < 1:
-        raise ValidationError(f"ell must be >= 1, got {ell}")
-    return omega_power_sequence(state, partition, ell)[-1]
 
 
 def _stack_powers(
@@ -145,13 +138,15 @@ def verify_congruence(
     """
     if partition.n != state.n or op.n != state.n:
         raise ValidationError("state, operator, and partition sizes must agree")
-    lhs = omega_power(apply_local(state, op), partition, ell).entries
+    if ell < 1:
+        raise ValidationError(f"power must be >= 1, got {ell}")
+    lhs = _omega_powers(apply_local(state, op), partition, ell)[-1]
 
     dets = op.determinants()
     alpha = complex(np.prod([dets[q - 1] for q in partition.rows]))
     beta = complex(np.prod([dets[q - 1] for q in partition.columns()]))
     p_mat = reduce(np.kron, [op.factors[q - 1] for q in partition.rows])
-    core = omega_power(state, partition, ell).entries
+    core = _omega_powers(state, partition, ell)[-1]
     rhs = alpha ** (ell - 1) * beta**ell * (p_mat @ core @ p_mat.T)
 
     denom = float(np.max(np.abs(lhs)))

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffmat import QubitPartition, coeff_matrix
+from .coeffmat import QubitPartition
 from .errors import ToleranceInconsistency, ValidationError
 from .flip import _omega_powers
-from .states import NORM_ATOL, PureState, parity_signs
+from .states import NORM_ATOL, PureState, _norm, parity_signs
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -33,17 +33,13 @@ def default_rows(n: int) -> tuple[int, ...]:
     return (1, 2) if n >= 3 else (1,)
 
 
-def _check_finite(m: np.ndarray) -> np.ndarray:
-    mat = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError("matrix has non-finite entries")
-    return mat
-
-
 def singular_values(m) -> np.ndarray:
     """Singular values of a complex matrix, or of each matrix in a stack,
     descending along the last axis."""
-    return np.linalg.svd(_check_finite(m), compute_uv=False)
+    mat = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(mat)):
+        raise ValidationError("matrix has non-finite entries")
+    return np.linalg.svd(mat, compute_uv=False)
 
 
 def _rank(sigma: np.ndarray, tol: float, floor) -> np.ndarray:
@@ -58,17 +54,6 @@ def _rank(sigma: np.ndarray, tol: float, floor) -> np.ndarray:
     top = sigma[..., :1]
     counts = np.sum(sigma > tol * np.maximum(top, TINY), axis=-1)
     return np.where(top[..., 0] > floor, counts, 0)
-
-
-def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count of singular values above tol relative to the largest one.
-
-    A matrix whose singular values all sit below 1e-12 times its largest
-    entry magnitude is declared rank 0 outright.
-    """
-    mat = _check_finite(m)
-    floor = NOISE_FLOOR * float(np.max(np.abs(mat), initial=0.0))
-    return int(_rank(singular_values(mat), tol, floor))
 
 
 @dataclass(frozen=True)
@@ -138,8 +123,8 @@ class InvariantProfile:
 def _require_normalized(state: PureState, what: str) -> None:
     if state.normalized:
         return
-    norm_sq = float(np.sum(np.abs(state.amplitudes) ** 2))
-    if abs(norm_sq - 1.0) > NORM_ATOL:
+    norm = _norm(state.amplitudes)
+    if not abs(norm * norm - 1.0) <= NORM_ATOL:
         raise ValidationError(f"{what} requires a normalized state")
 
 
@@ -158,7 +143,8 @@ def _partition_invariants(
     # the entry scale sum |a_i|^2 times sigma_1 of power 1 raised to l-1:
     # that is the magnitude the recursion multiplies in per step, so
     # accumulated rounding error stays orders of magnitude below it.
-    base = max(float(np.sum(np.abs(state.amplitudes) ** 2)), TINY)
+    norm = _norm(state.amplitudes)
+    base = max(norm * norm, TINY)
     scale1 = float(sigmas[0, 0])
     floors = [NOISE_FLOOR * base * scale1**ell for ell in range(max_power)]
     ranks = _rank(sigmas, tol, np.array(floors))
@@ -253,11 +239,6 @@ def three_qubit_S(state: PureState) -> float:
         a[4] * a[7] - a[5] * a[6],
     )
     return math.sqrt(sum(abs(t) ** 2 for t in terms))
-
-
-def abs_det_omega(state: PureState, partition: QubitPartition) -> float:
-    """|det| of the power-1 spin-flipping matrix."""
-    return _partition_invariants(state, partition, 1).abs_dets[0]
 
 
 def invariant_profile(

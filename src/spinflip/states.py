@@ -25,19 +25,25 @@ UNITARY_ATOL = 1e-8
 INVERTIBLE_MIN_DET = 1e-12
 
 
-def parity(i: int) -> int:
-    """Parity of the bit count of a nonnegative integer: 0 if even, 1 if odd."""
-    if i < 0:
-        raise ValidationError(f"parity expects a nonnegative integer, got {i}")
-    return i.bit_count() & 1
-
-
 @lru_cache(maxsize=None)
 def parity_signs(bits: int) -> np.ndarray:
-    """Read-only table of (-1)^{parity(i)} for i in 0..2^bits-1."""
+    """Read-only table of (-1)^{parity(i)} for i in 0..2^bits-1, parity(i)
+    being the parity of the bit count of i."""
     signs = reduce(np.kron, [np.array([1.0, -1.0])] * bits, np.ones(1))
     signs.setflags(write=False)
     return signs
+
+
+def _norm(amps: np.ndarray) -> float:
+    """2-norm of an amplitude vector. Each square is taken after dividing
+    by the peak magnitude, so none overflows or underflows; a NaN or
+    infinite entry gives a NaN or infinite norm, the zero vector 0.0."""
+    mags = np.abs(amps)
+    peak = float(mags.max())
+    if not 0.0 < peak < math.inf:
+        return peak
+    mags /= peak
+    return peak * math.sqrt(float(mags @ mags))
 
 
 def _as_state_vector(amplitudes, n: int) -> np.ndarray:
@@ -71,7 +77,8 @@ class PureState:
         if self.normalized:
             # a NaN or infinite amplitude makes norm_sq NaN or infinite,
             # and both fail this test
-            norm_sq = float(np.sum(np.abs(vec) ** 2))
+            norm = _norm(vec)
+            norm_sq = norm * norm
             if not abs(norm_sq - 1.0) <= NORM_ATOL:
                 raise ValidationError(
                     f"state marked normalized but sum |a_i|^2 = {norm_sq!r}"
@@ -80,7 +87,7 @@ class PureState:
             raise ValidationError("amplitudes must be finite")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -337,8 +344,8 @@ def parse_state(text: str) -> PureState:
     amps = _pairs_to_complex(doc["amplitudes"], "amplitudes", (2**n,))
     if not np.any(amps):
         raise ValidationError("amplitudes are all zero; a state needs a nonzero norm")
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
-    return PureState(n, amps, normalized=abs(norm_sq - 1.0) <= NORM_ATOL)
+    norm = _norm(amps)
+    return PureState(n, amps, normalized=abs(norm * norm - 1.0) <= NORM_ATOL)
 
 
 def serialize_state(state: PureState) -> str:

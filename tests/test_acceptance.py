@@ -17,7 +17,6 @@ import pytest
 from spinflip import (
     PureState,
     QubitPartition,
-    abs_det_omega,
     acin_state,
     apply_local,
     classify_acin,
@@ -27,7 +26,7 @@ from spinflip import (
     lu_compare,
     odd_invariants,
     omega,
-    omega_power,
+    omega_power_sequence,
     random_local,
     random_state,
     rank_profile,
@@ -36,6 +35,7 @@ from spinflip import (
     three_qubit_S,
     verify_congruence,
 )
+from spinflip.invariants import _partition_invariants
 
 import helpers
 
@@ -79,8 +79,8 @@ def test_criterion_2_power_two_singular_values():
     # matrix has, and were 1/64 of the true magnitudes.
     w1 = standard_state("w1")
     w2 = standard_state("w2")
-    sq1 = singular_values(omega_power(w1, P12_3, 2).entries) ** 2
-    sq2 = singular_values(omega_power(w2, P12_3, 2).entries) ** 2
+    sq1 = singular_values(omega_power_sequence(w1, P12_3, 2)[-1].entries) ** 2
+    sq2 = singular_values(omega_power_sequence(w2, P12_3, 2)[-1].entries) ** 2
     assert np.allclose(sq1, [1 / 64, 0.0, 0.0, 0.0], atol=1e-10)
     assert np.allclose(sq2, [3 / 256, 0.0, 0.0, 0.0], atol=1e-10)
     # multiplicity of the nonzero values is the power-2 rank
@@ -126,8 +126,8 @@ def test_criterion_4_congruence_and_prefactor_sensitivity():
         invertible_total += 1
         # recompute the right side without the alpha^(l-1) beta^l prefactor;
         # dropping it must break the identity for nearly every invertible draw
-        lhs = omega_power(apply_local(state, op), partition, power).entries
-        base = omega_power(state, partition, power).entries
+        lhs = omega_power_sequence(apply_local(state, op), partition, power)[-1].entries
+        base = omega_power_sequence(state, partition, power)[-1].entries
         p_mat = np.eye(1, dtype=complex)
         for q in partition.rows:
             p_mat = np.kron(p_mat, op.factors[q - 1])
@@ -155,13 +155,15 @@ def test_criterion_5_rank_and_singular_value_invariance():
         state = random_state(n, 9700 + i)
         rotated = apply_local(state, random_local(n, "unitary", 9800 + i))
         for power in (1, 2, 3):
-            sa = np.sort(singular_values(omega_power(state, partition, power).entries))
-            sb = np.sort(
-                singular_values(omega_power(rotated, partition, power).entries)
-            )
+            sa = np.sort(singular_values(
+                omega_power_sequence(state, partition, power)[-1].entries
+            ))
+            sb = np.sort(singular_values(
+                omega_power_sequence(rotated, partition, power)[-1].entries
+            ))
             assert np.allclose(sa, sb, atol=1e-9), (i, power)
-        assert abs_det_omega(state, partition) == pytest.approx(
-            abs_det_omega(rotated, partition), abs=1e-9
+        assert _partition_invariants(state, partition, 1).abs_dets[0] == pytest.approx(
+            _partition_invariants(rotated, partition, 1).abs_dets[0], abs=1e-9
         )
 
 

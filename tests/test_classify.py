@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from spinflip import (
     AcinForm,
@@ -22,15 +23,16 @@ from spinflip import (
     classify_two,
     family_label,
     lu_compare,
+    omega_power_sequence,
     random_local,
     random_state,
     slocc_compare,
     singular_values,
     local_rank,
-    omega_power,
     rank_profile,
     standard_state,
 )
+from spinflip.classify import _TRIPLES
 
 import helpers
 
@@ -69,15 +71,18 @@ def test_classify_three_all_six_seeds():
         assert classify_three(seed).label == label
 
 
-@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-50, 1e50, 1e100, 1e150])
+@pytest.mark.parametrize(
+    "scale", [1e-150, 1e-100, 1e-50, 1e50, 1e100, 1e150, 1e-310]
+)
 def test_classify_three_at_any_scale(scale):
-    # a class is a property of the ray
+    # a class is a property of the ray, subnormal amplitudes included
     for label in ("GHZ", "W", "C-AB"):
         seed = helpers.class_seeds()[label]
         scaled = PureState(3, scale * seed.amplitudes, normalized=False)
         got = classify_three(scaled)
         assert got.label == label
         assert got.ranks == classify_three(seed).ranks
+        assert got.local_ranks == classify_three(seed).local_ranks
 
 
 def test_classify_three_two_svd_calls(monkeypatch):
@@ -237,8 +242,10 @@ def test_lu_compare_w1_w2():
 
 def test_w1_w2_power_two_singular_route():
     # the singular-value route also separates the pair, as it must
-    s1 = singular_values(omega_power(standard_state("w1"), P12_3, 2).entries)
-    s2 = singular_values(omega_power(standard_state("w2"), P12_3, 2).entries)
+    s1, s2 = (
+        singular_values(omega_power_sequence(w, P12_3, 2)[-1].entries)
+        for w in (standard_state("w1"), standard_state("w2"))
+    )
     assert abs(s1[0] - s2[0]) > 1e-3
     only_sigma = lu_compare(
         standard_state("w1"), standard_state("w2"), [P12_3], 2, 1e-9
@@ -293,9 +300,12 @@ def test_slocc_compare_accepts_unnormalized_transforms():
         assert slocc_compare(state, moved).relation == "not-distinguished"
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-100, 1e100, 1e200, 1e300])
+@pytest.mark.parametrize(
+    "scale", [1e-300, 1e-160, 1e-100, 1e100, 1e200, 1e300, 1e-310]
+)
 def test_slocc_compare_extreme_scales(scale):
-    # SLOCC verdicts are statements about rays: c * GHZ answers as GHZ does
+    # SLOCC verdicts are statements about rays: c * GHZ answers as GHZ does,
+    # also when c * GHZ has subnormal amplitudes
     ghz, w = standard_state("ghz", 3), standard_state("w", 3)
     scaled = PureState(3, scale * ghz.amplitudes, normalized=False)
     for other, relation in ((w, "inequivalent"), (ghz, "not-distinguished")):
@@ -460,3 +470,39 @@ def test_family_label_type_intervals():
     FamilyLabel("F_c", 0.5)
     FamilyLabel("F_g", 0.25)
     FamilyLabel("F_S", 0.5, slocc_class="W")
+
+
+# local ranks each label implies: 1 on the qubits it separates, else 2
+LABEL_LOCAL_RANKS = {
+    "GHZ": (2, 2, 2),
+    "W": (2, 2, 2),
+    "A-BC": (1, 2, 2),
+    "B-AC": (2, 1, 2),
+    "C-AB": (2, 2, 1),
+    "A-B-C": (1, 1, 1),
+}
+
+
+@given(
+    family=st.sampled_from(["GHZ + eps W", "W + eps|111>", "|000> + eps|111>"]),
+    k=st.floats(min_value=-14.0, max_value=0.0),
+)
+@example(family="|000> + eps|111>", k=-10.0)
+def test_no_label_contradicts_its_evidence(family, k):
+    # near a class boundary the classifier may refuse, but a label it
+    # returns must agree with both its rank triple and its local ranks
+    eps = 10.0**k
+    ghz, w = standard_state("ghz", 3).amplitudes, standard_state("w", 3).amplitudes
+    e000, e111 = np.eye(8)[0], np.eye(8)[7]
+    amps = {
+        "GHZ + eps W": ghz + eps * w,
+        "W + eps|111>": w + eps * e111,
+        "|000> + eps|111>": e000 + eps * e111,
+    }[family]
+    state = PureState(3, amps / np.linalg.norm(amps))
+    try:
+        found = classify_three(state)
+    except ToleranceInconsistency:
+        return
+    assert found.ranks == _TRIPLES[found.label]
+    assert found.local_ranks == LABEL_LOCAL_RANKS[found.label]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from spinflip import LocalOperator, random_local, serialize_operator
+from spinflip import LocalOperator, parse_state, random_local, serialize_operator
 from spinflip.cli import main
 
 import helpers
@@ -191,6 +192,37 @@ def test_unnormalized_tiny_ghz_reports_and_classifies(tmp_path, capsys):
     assert report["ranks"] == [2, 2, 2]
 
 
+def test_huge_amplitudes_parse_and_classify_without_warnings(tmp_path, capsys):
+    # squaring 1e300 overflows; the norm divides by the peak magnitude first
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"n": 2, "amplitudes": [[1e300, 0], [0, 0], [0, 0], [1e300, 0]]}'
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parse_state(path.read_text()).normalized is False
+        report = run_report(["classify", str(path)], capsys)
+    assert report["class"] == "entangled"
+    assert report["ranks"] == [2, 2, 2]
+
+
+def test_classify_label_against_local_ranks_exits_3(tmp_path, capsys):
+    # |000> + 1e-10|111>: the triple reads GHZ, every local rank reads 1
+    path = tmp_path / "near_product.json"
+    amps = np.zeros(8)
+    amps[[0, 7]] = 1.0, 1e-10
+    amps /= np.linalg.norm(amps)
+    path.write_text(json.dumps({"n": 3, "amplitudes": [[a, 0.0] for a in amps]}))
+    code, out, err = run(["classify", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    message, details = err.splitlines()
+    assert "tolerance inconsistency" in message
+    assert json.loads(details) == {
+        "triple": [2, 2, 2], "local_ranks": [1, 1, 1], "label": "A-B-C"
+    }
+
+
 def test_all_zero_state_file_is_rejected(tmp_path, capsys):
     path = _scaled_file(tmp_path / "zero.json", "zero", 1.0)
     for command in ("invariants", "classify"):
@@ -335,6 +367,17 @@ def test_verify_congruence_report(states, tmp_path, capsys):
     )
     assert strict["passed"] is False
     assert strict["residual"] == report["residual"]
+
+
+def test_verify_congruence_power_zero_exits_2(states, tmp_path, capsys):
+    op_path = tmp_path / "u.json"
+    op_path.write_text(serialize_operator(random_local(3, "unitary", 12)))
+    code, out, err = run(
+        ["verify-congruence", states["ghz3"], str(op_path), "--power", "0"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "power must be >= 1, got 0" in err
 
 
 def test_exit_codes_for_bad_input(states, tmp_path, capsys):

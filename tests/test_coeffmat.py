@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from spinflip import (
-    CoeffMatrix,
     PureState,
     QubitPartition,
     ValidationError,
@@ -51,12 +50,12 @@ def test_partition_validation():
 def test_row_qubit_one_layout():
     # rows={1} puts a_0..a_3 on the first row and a_4..a_7 on the second
     state = int_state(3)
-    mat = coeff_matrix(state, QubitPartition((1,), 3)).entries
+    mat = coeff_matrix(state, QubitPartition((1,), 3))
     assert np.array_equal(mat, [[0, 1, 2, 3], [4, 5, 6, 7]])
 
 
 def test_ghz_rows_12_layout():
-    mat = coeff_matrix(standard_state("ghz", 3), QubitPartition((1, 2), 3)).entries
+    mat = coeff_matrix(standard_state("ghz", 3), QubitPartition((1, 2), 3))
     expected = np.array([[1 / RT2, 0], [0, 0], [0, 0], [0, 1 / RT2]])
     assert np.allclose(mat, expected)
 
@@ -66,7 +65,7 @@ def test_nonleading_rows_layout_frozen():
     # row bits are (qubit2, qubit4), column bits (qubit1, qubit3) ascending
     state = int_state(4)
     part = QubitPartition((2, 4), 4)
-    mat = coeff_matrix(state, part).entries
+    mat = coeff_matrix(state, part)
     expected = np.array(
         [[0, 2, 8, 10], [1, 3, 9, 11], [4, 6, 12, 14], [5, 7, 13, 15]]
     )
@@ -79,7 +78,7 @@ def test_nonleading_rows_layout_frozen():
 def test_row_order_matters():
     # (4, 2) reverses which qubit supplies the most significant row bit
     state = int_state(4)
-    swapped = coeff_matrix(state, QubitPartition((4, 2), 4)).entries
+    swapped = coeff_matrix(state, QubitPartition((4, 2), 4))
     expected = np.array(
         [[0, 2, 8, 10], [4, 6, 12, 14], [1, 3, 9, 11], [5, 7, 13, 15]]
     )
@@ -93,7 +92,7 @@ def test_matches_oracle_on_random_states():
     ]
     for seed, (n, rows) in enumerate(cases):
         state = random_state(n, 900 + seed)
-        mat = coeff_matrix(state, QubitPartition(rows, n)).entries
+        mat = coeff_matrix(state, QubitPartition(rows, n))
         assert np.allclose(
             mat, oracles.oracle_coeff_matrix(state.amplitudes, n, rows),
             atol=1e-15,
@@ -106,14 +105,14 @@ def test_flatten_bijectivity():
         state = random_state(n, 40 + n)
         for ell in range(1, n):
             part = QubitPartition(tuple(range(1, ell + 1)), n)
-            flat = coeff_matrix(state, part).entries.reshape(-1)
+            flat = coeff_matrix(state, part).reshape(-1)
             assert np.array_equal(flat, state.amplitudes)
 
 
 def test_entries_are_permutation_of_amplitudes():
     state = int_state(4)
     for rows in ((2,), (3, 1), (4, 2, 1)):
-        mat = coeff_matrix(state, QubitPartition(rows, 4)).entries
+        mat = coeff_matrix(state, QubitPartition(rows, 4))
         assert sorted(mat.reshape(-1).real.astype(int)) == list(range(16))
 
 
@@ -169,12 +168,16 @@ def test_partition_state_mismatch():
 
 
 def test_coeff_matrix_type_validation():
-    part = QubitPartition((1,), 2)
-    with pytest.raises(ValidationError):
-        CoeffMatrix(part, np.zeros((4, 4), dtype=complex))
-    mat = CoeffMatrix(part, np.zeros((2, 2), dtype=complex))
-    with pytest.raises(ValueError):
-        mat.entries[0, 0] = 1.0
+    # a read-only complex array of the partition's shape, whether the
+    # reshape returns a view of the amplitudes (rows {1}) or a copy
+    state = random_state(4, 4600)
+    for rows in ((1,), (3, 1, 4)):
+        mat = coeff_matrix(state, QubitPartition(rows, 4))
+        assert type(mat) is np.ndarray
+        assert mat.dtype == complex
+        assert mat.shape == (2 ** len(rows), 2 ** (4 - len(rows)))
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
 
 
 def test_local_index_gathers_single_qubit_matrices():
@@ -187,5 +190,5 @@ def test_local_index_gathers_single_qubit_matrices():
         assert _local_index(n) is table
         stack = state.amplitudes[table]
         for k in range(n):
-            want = coeff_matrix(state, QubitPartition((k + 1,), n)).entries
+            want = coeff_matrix(state, QubitPartition((k + 1,), n))
             assert np.array_equal(stack[k], want)

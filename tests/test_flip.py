@@ -13,7 +13,6 @@ from spinflip import (
     ValidationError,
     apply_local,
     omega,
-    omega_power,
     omega_power_sequence,
     random_local,
     random_state,
@@ -136,7 +135,7 @@ def test_omega_power_one_equals_omega():
     state = random_state(3, 71)
     part = QubitPartition((1, 2), 3)
     assert np.array_equal(
-        omega_power(state, part, 1).entries, omega(state, part).entries
+        omega_power_sequence(state, part, 1)[-1].entries, omega(state, part).entries
     )
 
 
@@ -157,23 +156,26 @@ def test_ghz3_power_sequence_frozen():
 def test_w_power_two_rank_one_and_power_three_zero():
     w = standard_state("w", 3)
     part = QubitPartition((1, 2), 3)
-    p2 = omega_power(w, part, 2).entries
+    p2 = omega_power_sequence(w, part, 2)[-1].entries
     expected = np.zeros((4, 4))
     expected[0, 0] = 2.0 / 9.0
     assert np.allclose(p2, expected, atol=1e-15)
     assert np.linalg.matrix_rank(p2) == 1
     # the recursion hits an exact zero at power 3
-    assert np.array_equal(omega_power(w, part, 3).entries, np.zeros((4, 4)))
+    p3 = omega_power_sequence(w, part, 3)[-1].entries
+    assert np.array_equal(p3, np.zeros((4, 4)))
 
 
 def test_ghz3_power_three_rank_two():
-    p3 = omega_power(standard_state("ghz", 3), QubitPartition((1, 2), 3), 3)
+    seq = omega_power_sequence(standard_state("ghz", 3), QubitPartition((1, 2), 3), 3)
+    p3 = seq[-1]
     assert np.linalg.matrix_rank(p3.entries) == 2
 
 
 def test_w1_power_two_frozen():
     # the recursion collapses W1's power-2 matrix to a single entry -1/8
-    p2 = omega_power(standard_state("w1"), QubitPartition((1, 2), 3), 2).entries
+    seq = omega_power_sequence(standard_state("w1"), QubitPartition((1, 2), 3), 2)
+    p2 = seq[-1].entries
     expected = np.zeros((4, 4))
     expected[2, 2] = -0.125
     assert np.allclose(p2, expected, atol=1e-15)
@@ -181,7 +183,8 @@ def test_w1_power_two_frozen():
 
 def test_w2_power_two_frozen():
     # single entry -2 l0 l2^2 l3 = -sqrt(3)/16
-    p2 = omega_power(standard_state("w2"), QubitPartition((1, 2), 3), 2).entries
+    seq = omega_power_sequence(standard_state("w2"), QubitPartition((1, 2), 3), 2)
+    p2 = seq[-1].entries
     expected = np.zeros((4, 4))
     expected[2, 2] = -math.sqrt(3.0) / 16.0
     assert np.allclose(p2, expected, atol=1e-15)
@@ -205,8 +208,10 @@ def test_power_two_variant_sweep():
     om1 = omega(w1, part).entries
     om2 = omega(w2, part).entries
 
-    sq1 = np.linalg.svd(omega_power(w1, part, 2).entries, compute_uv=False) ** 2
-    sq2 = np.linalg.svd(omega_power(w2, part, 2).entries, compute_uv=False) ** 2
+    p2_1 = omega_power_sequence(w1, part, 2)[-1].entries
+    p2_2 = omega_power_sequence(w2, part, 2)[-1].entries
+    sq1 = np.linalg.svd(p2_1, compute_uv=False) ** 2
+    sq2 = np.linalg.svd(p2_2, compute_uv=False) ** 2
     assert np.allclose(sq1, [1 / 64, 0, 0, 0], atol=1e-15)
     assert np.allclose(sq2, [3 / 256, 0, 0, 0], atol=1e-15)
     # the superseded criterion-2 targets are exactly 1/64 of these
@@ -222,7 +227,7 @@ def test_power_two_variant_sweep():
 def test_omega_power_matches_dense_oracle():
     for i, (state, part) in enumerate(helpers.state_partition_cases(20)):
         for ell in (2, 3):
-            got = omega_power(state, part, ell).entries
+            got = omega_power_sequence(state, part, ell)[-1].entries
             want = oracles.oracle_omega_power(
                 state.amplitudes, state.n, part.rows, ell
             )
@@ -234,7 +239,8 @@ def test_omega_power_sequence_consistent():
     part = QubitPartition((2, 3), 4)
     seq = omega_power_sequence(state, part, 3)
     for ell, item in enumerate(seq, start=1):
-        assert np.array_equal(item.entries, omega_power(state, part, ell).entries)
+        last = omega_power_sequence(state, part, ell)[-1]
+        assert np.array_equal(item.entries, last.entries)
 
 
 def test_omega_power_sequence_views_the_stack():
@@ -290,8 +296,9 @@ def test_power_one_checked_once_per_sequence(monkeypatch):
 def test_power_validation():
     state = random_state(2, 3)
     part = QubitPartition((1,), 2)
-    with pytest.raises(ValidationError):
-        omega_power(state, part, 0)
+    op = random_local(2, "unitary", 4)
+    with pytest.raises(ValidationError, match="power must be >= 1, got 0"):
+        verify_congruence(state, op, part, 0)
     with pytest.raises(ValidationError):
         omega_power_sequence(state, part, 0)
     with pytest.raises(ValidationError):
@@ -348,8 +355,8 @@ def test_scale_covariance():
     for i, (state, part) in enumerate(helpers.state_partition_cases(20, seed=7500)):
         scaled = PureState(state.n, s * state.amplitudes, normalized=False)
         for ell in (1, 2, 3):
-            base = omega_power(state, part, ell).entries
-            got = omega_power(scaled, part, ell).entries
+            base = omega_power_sequence(state, part, ell)[-1].entries
+            got = omega_power_sequence(scaled, part, ell)[-1].entries
             assert np.allclose(got, s ** (2 * ell) * base, rtol=1e-12, atol=1e-12)
 
 

@@ -13,16 +13,13 @@ from spinflip import (
     RankProfile,
     ToleranceInconsistency,
     ValidationError,
-    abs_det_omega,
     acin_state,
     apply_local,
     concurrence_even,
     default_rows,
     invariant_profile,
-    numerical_rank,
     odd_invariants,
     omega,
-    omega_power,
     omega_power_sequence,
     random_local,
     random_state,
@@ -33,6 +30,7 @@ from spinflip import (
 )
 from spinflip.invariants import (
     DEFAULT_RANK_TOL,
+    NOISE_FLOOR,
     _partition_invariants,
     _peak_scaled,
     _rank,
@@ -76,26 +74,38 @@ def test_singular_values_rejects_nonfinite():
         singular_values(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
+# The rank rule on one matrix m: _rank over its spectrum, with the noise
+# floor NOISE_FLOOR * max |m| (the floor is 0 for the zero matrix).
+
+
 def test_numerical_rank_bell_and_product():
     bell_omega = omega(standard_state("bell"), QubitPartition((1,), 2)).entries
-    assert numerical_rank(bell_omega) == 2
+    floor = NOISE_FLOOR * np.max(np.abs(bell_omega))
+    assert _rank(singular_values(bell_omega), DEFAULT_RANK_TOL, floor) == 2
     zz = omega(standard_state("zeros", 2), QubitPartition((1,), 2)).entries
-    assert numerical_rank(zz) == 0
+    floor = NOISE_FLOOR * np.max(np.abs(zz))
+    assert _rank(singular_values(zz), DEFAULT_RANK_TOL, floor) == 0
 
 
 def test_numerical_rank_threshold_contract():
-    assert numerical_rank(np.diag([1.0, 1e-13, 0.0, 0.0])) == 1
-    assert numerical_rank(np.diag([1.0, 1e-7, 0.0, 0.0])) == 2
-    # relative semantics: a uniformly tiny but clean matrix keeps full rank
-    assert numerical_rank(1e-20 * np.eye(3)) == 3
-    assert numerical_rank(np.zeros((2, 2))) == 0
+    cases = [
+        (np.diag([1.0, 1e-13, 0.0, 0.0]), 1),
+        (np.diag([1.0, 1e-7, 0.0, 0.0]), 2),
+        # relative semantics: a uniformly tiny but clean matrix keeps full rank
+        (1e-20 * np.eye(3), 3),
+        (np.zeros((2, 2)), 0),
+    ]
+    for m, rank in cases:
+        floor = NOISE_FLOOR * np.max(np.abs(m))
+        assert _rank(singular_values(m), DEFAULT_RANK_TOL, floor) == rank
 
 
 def test_numerical_rank_validation():
     with pytest.raises(ValidationError):
-        numerical_rank(np.eye(2), tol=0.0)
+        _rank(singular_values(np.eye(2)), 0.0, NOISE_FLOOR)
+    nan_matrix = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValidationError):
-        numerical_rank(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        _rank(singular_values(nan_matrix), DEFAULT_RANK_TOL, 0.0)
 
 
 def test_rank_profile_table_rows():
@@ -257,19 +267,20 @@ def test_abs_det_ghz4_is_singular_value_product():
     part = QubitPartition((1, 2), 4)
     sigma = singular_values(omega(state, part).entries)
     assert np.allclose(sigma, [0.5, 0.5, 0, 0], atol=1e-15)
-    got = abs_det_omega(state, part)
+    got = _partition_invariants(state, part, 1).abs_dets[0]
     assert got == pytest.approx(float(np.prod(sigma)), abs=1e-15)
     assert got == 0.0
 
 
 def test_abs_det_zero_state():
-    assert abs_det_omega(standard_state("zeros", 4), QubitPartition((1, 2), 4)) == 0.0
+    zeros = standard_state("zeros", 4)
+    assert _partition_invariants(zeros, QubitPartition((1, 2), 4), 1).abs_dets[0] == 0.0
 
 
 def test_abs_det_matches_sigma_product():
     for seed in range(10):
         state = random_state(3, 3500 + seed)
-        got = abs_det_omega(state, P12_3)
+        got = _partition_invariants(state, P12_3, 1).abs_dets[0]
         sigma = singular_values(omega(state, P12_3).entries)
         assert got == pytest.approx(float(np.prod(sigma)), rel=1e-10, abs=1e-14)
 
@@ -294,14 +305,15 @@ def test_abs_dets_of_higher_powers_are_derived():
             part = helpers.random_partition(rng, n)
             dets = _partition_invariants(state, part, 3).abs_dets
             for ell in (2, 3):
-                want = abs(np.linalg.det(omega_power(state, part, ell).entries))
+                power = omega_power_sequence(state, part, ell)[-1]
+                want = abs(np.linalg.det(power.entries))
                 assert dets[ell - 1] == pytest.approx(want, rel=1e-10, abs=1e-15)
 
 
 def test_abs_det_la4_family():
     part = QubitPartition((1, 2), 4)
     for a in (0.8, 0.6 + 0.3j, 1.5 - 0.2j):
-        got = abs_det_omega(la4_state(a), part)
+        got = _partition_invariants(la4_state(a), part, 1).abs_dets[0]
         assert got == pytest.approx(abs(a) ** 8, rel=1e-12)
 
 
@@ -345,11 +357,11 @@ def test_lu_invariance_of_singular_values_and_det():
         moved = apply_local(state, op)
         part = QubitPartition(default_rows(n), n)
         for ell in (1, 2, 3):
-            sa = singular_values(omega_power(state, part, ell).entries)
-            sb = singular_values(omega_power(moved, part, ell).entries)
+            sa = singular_values(omega_power_sequence(state, part, ell)[-1].entries)
+            sb = singular_values(omega_power_sequence(moved, part, ell)[-1].entries)
             assert np.allclose(sa, sb, atol=1e-9)
-        assert abs_det_omega(state, part) == pytest.approx(
-            abs_det_omega(moved, part), abs=1e-9
+        assert _partition_invariants(state, part, 1).abs_dets[0] == pytest.approx(
+            _partition_invariants(moved, part, 1).abs_dets[0], abs=1e-9
         )
 
 
@@ -445,7 +457,9 @@ def test_rank_rule_vectorised_matches_rowwise():
     assert got.tolist() == [4, 2, 0, 0, 0]
     for row, floor, rank in zip(sigma, floors, got):
         assert int(_rank(row, DEFAULT_RANK_TOL, floor)) == rank
-    assert type(numerical_rank(np.eye(3))) is int
+    # one spectrum gives one scalar rank
+    rank = _rank(singular_values(np.eye(3)), DEFAULT_RANK_TOL, NOISE_FLOOR)
+    assert rank.shape == () and rank == 3
 
 
 SCALES = [1e-150, 1e-100, 1e-50, 1e50, 1e100, 1e150]

@@ -13,7 +13,6 @@ from spinflip import (
     ValidationError,
     acin_state,
     apply_local,
-    parity,
     parse_operator,
     parse_state,
     random_local,
@@ -34,28 +33,10 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 EYE2 = np.eye(2)
 
 
-def test_parity_examples():
-    assert parity(0) == 0
-    assert parity(7) == 1
-    assert parity(6) == 0
-    assert parity(1) == 1
-    assert parity(0b1011) == 1
-
-
-def test_parity_rejects_negative():
-    with pytest.raises(ValidationError):
-        parity(-1)
-
-
-def test_parity_matches_bitstring_count():
-    for i in range(256):
-        assert parity(i) == bin(i).count("1") % 2
-
-
 def test_parity_signs_table():
     for bits in range(15):
         table = parity_signs(bits)
-        expected = [1 - 2 * parity(i) for i in range(2**bits)]
+        expected = [1 - 2 * oracles.bit_parity(i) for i in range(2**bits)]
         assert np.array_equal(table, expected)
         with pytest.raises(ValueError):
             table[0] = 0.0
