@@ -14,18 +14,19 @@ import numpy as np
 
 from .coeffmat import QubitPartition, _local_ranks, coeff_matrix
 from .errors import ToleranceInconsistency, ValidationError
+from .flip import _omega_powers
 from .invariants import (
     DEFAULT_RANK_TOL,
     _partition_invariants,
-    _peak_scaled,
     _require_normalized,
     concurrence_even,
     default_rows,
     odd_invariants,
     rank_profile,
+    singular_values,
     three_qubit_S,
 )
-from .states import AcinForm, PureState, _norm, acin_state
+from .states import AcinForm, PureState, _norm, _peak_scaled, acin_state
 
 THREE_QUBIT_LABELS = ("GHZ", "W", "A-BC", "B-AC", "C-AB", "A-B-C")
 TWO_QUBIT_LABELS = ("entangled", "product")
@@ -72,16 +73,6 @@ class CompareVerdict:
             raise ValidationError("inequivalent verdicts need a witness")
 
 
-# family-parameter upper bounds by kind and three-qubit class; S is the
-# product of the two coefficient-matrix singular values, so 1/2 bounds it
-# for every class of normalized states
-_FS_UPPER = {
-    "GHZ": 0.5,
-    "W": 0.5,
-    "B-AC": 0.5,
-    "A-BC": 0.5,
-    "A-B-C": 0.0,
-}
 _INTERVAL_SLOP = 1e-9
 
 
@@ -98,7 +89,10 @@ class FamilyLabel:
             raise ValidationError(f"unknown family kind {self.kind!r}")
         upper = {"F_c": 0.5, "F_g": 0.25}.get(self.kind)
         if upper is None:
-            upper = _FS_UPPER.get(self.slocc_class or "", 0.5)
+            # S is the product of the two coefficient-matrix singular
+            # values, so 1/2 bounds it for every class of normalized
+            # states; the product class is the one family S = 0
+            upper = 0.0 if self.slocc_class == "A-B-C" else 0.5
         if not -_INTERVAL_SLOP <= self.value <= upper + _INTERVAL_SLOP:
             raise ValidationError(
                 f"{self.kind} value {self.value} outside [0, {upper}]"
@@ -146,9 +140,10 @@ def classify_three(state: PureState, tol: float = DEFAULT_RANK_TOL) -> SloccClas
     """
     if state.n != 3:
         raise ValidationError("classify_three requires exactly 3 qubits")
-    # local ranks, like rank_profile, read the ray at the exact peak scale
+    # the triple and the local ranks read the ray at the exact peak scale
     state = _peak_scaled(state)
-    triple = rank_profile(state, QubitPartition((1, 2), 3), 3, tol).ranks
+    inv = _partition_invariants(state, QubitPartition((1, 2), 3), 3, tol)
+    triple = inv.rank_profile.ranks
     local = _local_ranks(state, tol)
     if local == (2, 2, 2):
         label = {_TRIPLES["GHZ"]: "GHZ", _TRIPLES["W"]: "W"}.get(triple)
@@ -207,24 +202,20 @@ def classify_acin(
     return numeric, numeric.ranks, three_qubit_S(state)
 
 
-def _sorted_ascending(sigma: np.ndarray) -> np.ndarray:
-    return np.sort(np.asarray(sigma, dtype=float))
-
-
 def lu_compare(
     a: PureState,
     b: PureState,
     partitions: list[QubitPartition] | None = None,
     max_power: int = 3,
     tol: float = DEFAULT_COMPARE_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> CompareVerdict:
     """Necessary-condition comparison of two states under local unitaries.
 
     Checks, in order: the parity-appropriate closed form (concurrence, or
     n-tangle and delta), then per partition and power the sorted
-    singular-value lists and |det|. The first difference beyond tol is the
-    witness; agreement everywhere is merely not-distinguished.
+    singular-value lists and their product, |det|. The first difference
+    beyond tol is the witness; agreement everywhere is merely
+    not-distinguished.
     """
     if a.n != b.n:
         raise ValidationError(f"states have different sizes: {a.n} vs {b.n}")
@@ -249,11 +240,12 @@ def lu_compare(
     if partitions is None:
         partitions = [QubitPartition(default_rows(a.n), a.n)]
     for partition in partitions:
-        inv_a = _partition_invariants(a, partition, max_power, rank_tol)
-        inv_b = _partition_invariants(b, partition, max_power, rank_tol)
+        spectra_a = singular_values(_omega_powers(a, partition, max_power))
+        spectra_b = singular_values(_omega_powers(b, partition, max_power))
+        dets_a, dets_b = np.prod(spectra_a, axis=-1), np.prod(spectra_b, axis=-1)
         for idx in range(max_power):
-            sa = _sorted_ascending(inv_a.singular_values[idx])
-            sb = _sorted_ascending(inv_b.singular_values[idx])
+            # spectra descend, so reversing a row sorts it ascending
+            sa, sb = spectra_a[idx, ::-1], spectra_b[idx, ::-1]
             gaps = np.abs(sa - sb)
             if np.any(gaps > tol):
                 k = int(np.argmax(gaps))
@@ -267,7 +259,7 @@ def lu_compare(
                         power=idx + 1,
                     ),
                 )
-            da, db = inv_a.abs_dets[idx], inv_b.abs_dets[idx]
+            da, db = float(dets_a[idx]), float(dets_b[idx])
             if abs(da - db) > tol:
                 return CompareVerdict(
                     "inequivalent",
@@ -327,19 +319,6 @@ def slocc_compare(
     return CompareVerdict("not-distinguished")
 
 
-def _pair_concurrence_of_ab(state: PureState) -> float:
-    """Concurrence of the entangled {1,2} pair of a C-AB state.
-
-    The rows {1,2} coefficient matrix of such a state is rank 1; its top
-    left singular vector scaled by the top singular value is the pair's
-    two-qubit amplitude vector (unit norm, phase-immaterial).
-    """
-    cmat = coeff_matrix(state, QubitPartition((1, 2), 3))
-    u, sigma, _ = np.linalg.svd(cmat)
-    chi = sigma[0] * u[:, 0]
-    return float(abs(chi[0] * chi[3] - chi[1] * chi[2]))
-
-
 def family_label(state: PureState, tol: float = DEFAULT_RANK_TOL) -> FamilyLabel:
     """LU family: F_c by concurrence (even n), F_g by n-tangle (odd n > 3),
     F_S by S within each three-qubit class, except C-AB which is an F_c
@@ -354,7 +333,11 @@ def family_label(state: PureState, tol: float = DEFAULT_RANK_TOL) -> FamilyLabel
         return FamilyLabel("F_g", odd_invariants(state).ntangle)
     label = classify_three(state, tol).label
     if label == "C-AB":
-        return FamilyLabel("F_c", _pair_concurrence_of_ab(state), slocc_class=label)
+        # C_1 of chi (x) phi is the Kronecker product of the pair's 2x2
+        # amplitude matrix chi with the unit vector phi, so the product of
+        # its singular values is |det chi|, the pair's concurrence
+        pair = np.prod(singular_values(coeff_matrix(state, QubitPartition((1,), 3))))
+        return FamilyLabel("F_c", float(pair), slocc_class=label)
     if label == "A-B-C":
         return FamilyLabel("F_S", 0.0, slocc_class=label)
     return FamilyLabel("F_S", three_qubit_S(state), slocc_class=label)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import is_dataclass
 
 import numpy as np
 
@@ -54,7 +55,10 @@ DEFAULT_RESIDUAL_TOL = 1e-8
 
 def _jsonable(value):
     """json.dumps hook: complex numbers become [re, im] pairs, numpy arrays
-    and scalars their Python counterparts."""
+    and scalars their Python counterparts, result dataclasses an object of
+    their non-None fields in field order."""
+    if is_dataclass(value):
+        return {k: v for k, v in vars(value).items() if v is not None}
     if isinstance(value, (complex, np.complexfloating)):
         return [value.real, value.imag]
     if isinstance(value, (np.ndarray, np.generic)):
@@ -119,19 +123,6 @@ def _config(args, command: str, rows, **extras) -> dict:
     return {"tool": TOOL_NAME, "version": __version__, "command": command, "config": cfg}
 
 
-def _witness_payload(witness) -> dict | None:
-    if witness is None:
-        return None
-    payload = {"kind": witness.kind}
-    if witness.rows is not None:
-        payload["rows"] = list(witness.rows)
-    if witness.power is not None:
-        payload["power"] = witness.power
-    payload["value_a"] = witness.value_a
-    payload["value_b"] = witness.value_b
-    return payload
-
-
 def _cmd_invariants(args) -> dict:
     state = _read(args.state, parse_state, "state")
     partition = _parse_rows(args.rows, state.n)
@@ -141,42 +132,28 @@ def _cmd_invariants(args) -> dict:
     if state.normalized:
         profile = invariant_profile(state, [partition], args.max_power, args.tol)
         part = profile.partitions[0]
-        report["ranks"] = list(part.rank_profile.ranks)
-        report["partitions"] = [
-            {
-                "rows": list(partition.rows),
-                "ranks": list(part.rank_profile.ranks),
-                "tolerance": part.rank_profile.tolerance,
-                "powers": [
-                    {
-                        "power": idx + 1,
-                        "singular_values": part.singular_values[idx],
-                        "abs_det": part.abs_dets[idx],
-                    }
-                    for idx in range(args.max_power)
-                ],
-            }
-        ]
-        if profile.concurrence is not None:
-            report["concurrence"] = profile.concurrence
-        if profile.odd is not None:
-            odd = profile.odd
-            report["ntangle"] = odd.ntangle
-            report["odd"] = {
-                "e11": odd.e11, "e12": odd.e12, "e22": odd.e22,
-                "delta": odd.delta, "dee": odd.dee,
-                "t1": odd.t1, "t2": odd.t2, "ntangle": odd.ntangle,
-            }
-        if profile.s_value is not None:
-            report["s"] = profile.s_value
+        rp = part.rank_profile
     else:
-        # ranks and singular values are scale-invariant facts; closed forms
-        # need unit norm, so they are omitted
+        # ranks are facts about the ray; singular values and |det| scale as
+        # |c|^(2l) and the closed forms need unit norm, so they are omitted
+        profile = None
         rp = rank_profile(state, partition, args.max_power, args.tol)
-        report["ranks"] = list(rp.ranks)
-        report["partitions"] = [
-            {"rows": list(partition.rows), "ranks": list(rp.ranks), "tolerance": rp.tolerance}
-        ]
+    report["ranks"] = list(rp.ranks)
+    block = {"rows": list(partition.rows), "ranks": list(rp.ranks), "tolerance": rp.tolerance}
+    report["partitions"] = [block]
+    if profile is None:
+        return report
+    block["powers"] = [
+        {"power": ell, "singular_values": sigma, "abs_det": det}
+        for ell, (sigma, det) in enumerate(zip(part.singular_values, part.abs_dets), 1)
+    ]
+    if profile.concurrence is not None:
+        report["concurrence"] = profile.concurrence
+    if profile.odd is not None:
+        report["ntangle"] = profile.odd.ntangle
+        report["odd"] = profile.odd
+    if profile.s_value is not None:
+        report["s"] = profile.s_value
     return report
 
 
@@ -210,14 +187,12 @@ def _cmd_classify_acin(args) -> dict:
 def _cmd_compare_lu(args) -> dict:
     a, b = (_read(path, parse_state, "state") for path in (args.state_a, args.state_b))
     partition = _parse_rows(args.rows, a.n)
-    verdict = lu_compare(
-        a, b, [partition], args.max_power, args.compare_tol, args.tol
-    )
+    verdict = lu_compare(a, b, [partition], args.max_power, args.compare_tol)
     report = _config(
         args, "compare-lu", partition.rows, compare_tol=args.compare_tol
     )
     report["relation"] = verdict.relation
-    report["witness"] = _witness_payload(verdict.witness)
+    report["witness"] = verdict.witness
     return report
 
 
@@ -226,7 +201,7 @@ def _cmd_compare_slocc(args) -> dict:
     verdict = slocc_compare(a, b, args.tol)
     report = _config(args, "compare-slocc", default_rows(a.n))
     report["relation"] = verdict.relation
-    report["witness"] = _witness_payload(verdict.witness)
+    report["witness"] = verdict.witness
     return report
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .states import PureState
+from .states import PureState, _peak_scaled
 
 
 @dataclass(frozen=True)
@@ -107,4 +107,4 @@ def local_rank(state: PureState, qubit: int, tol: float = 1e-10) -> int:
             "local_rank of the zero state is 0", RuntimeWarning, stacklevel=2
         )
         return 0
-    return _local_ranks(state, tol)[qubit - 1]
+    return _local_ranks(_peak_scaled(state), tol)[qubit - 1]

@@ -16,7 +16,7 @@ import numpy as np
 from .coeffmat import QubitPartition
 from .errors import ToleranceInconsistency, ValidationError
 from .flip import _omega_powers
-from .states import NORM_ATOL, PureState, _norm, parity_signs
+from .states import NORM_ATOL, PureState, _norm, _peak_scaled, parity_signs
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -148,9 +148,9 @@ def _partition_invariants(
     scale1 = float(sigmas[0, 0])
     floors = [NOISE_FLOOR * base * scale1**ell for ell in range(max_power)]
     ranks = _rank(sigmas, tol, np.array(floors))
-    # det v^{(x)i} = 1, so the recursion gives |det Omega^(l)| = |det Omega|^l
-    abs_det = abs(np.linalg.det(stack[0]))
-    dets = tuple(float(abs_det**ell) for ell in range(1, max_power + 1))
+    # |det| is the product of the singular values, so it comes from the
+    # same SVD as the ranks
+    dets = tuple(np.prod(sigmas, axis=-1).tolist())
     profile = RankProfile(partition, tuple(ranks.tolist()), tol)
     return PartitionInvariants(profile, tuple(sigmas), dets)
 
@@ -165,22 +165,6 @@ def rank_profile(
     properties of the ray, so any nonzero scale gives the same ranks."""
     state = _peak_scaled(state)
     return _partition_invariants(state, partition, max_power, tol).rank_profile
-
-
-def _peak_scaled(state: PureState) -> PureState:
-    """An unnormalized state divided by 2^e, which puts its peak magnitude
-    in [1/2, 1). Omega^(l) scales as c^(2l), so raw extreme scales underflow
-    or overflow the recursion and its noise floors. ldexp keeps the division
-    exact and, unlike multiplying by 2.0**-e, cannot overflow for a
-    subnormal peak."""
-    if state.normalized:
-        return state
-    _, exp = math.frexp(float(np.max(np.abs(state.amplitudes))))
-    amps = state.amplitudes
-    scaled = np.empty_like(amps)
-    scaled.real = np.ldexp(amps.real, -exp)
-    scaled.imag = np.ldexp(amps.imag, -exp)
-    return PureState(state.n, scaled, normalized=False)
 
 
 def concurrence_even(state: PureState) -> float:

@@ -90,6 +90,22 @@ class PureState:
         return _norm(self.amplitudes)
 
 
+def _peak_scaled(state: PureState) -> PureState:
+    """An unnormalized state divided by 2^e, which puts its peak magnitude
+    in [1/2, 1). Omega^(l) scales as c^(2l), so raw extreme scales underflow
+    or overflow the recursion and its noise floors. ldexp keeps the division
+    exact and, unlike multiplying by 2.0**-e, cannot overflow for a
+    subnormal peak."""
+    if state.normalized:
+        return state
+    _, exp = math.frexp(float(np.max(np.abs(state.amplitudes))))
+    amps = state.amplitudes
+    scaled = np.empty_like(amps)
+    scaled.real = np.ldexp(amps.real, -exp)
+    scaled.imag = np.ldexp(amps.imag, -exp)
+    return PureState(state.n, scaled, normalized=False)
+
+
 @dataclass(frozen=True)
 class LocalOperator:
     """Tensor product of n single-qubit 2x2 operators, factor k acting on qubit k+1.

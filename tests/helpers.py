@@ -131,3 +131,22 @@ def count_svd_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     return calls
+
+
+def count_linalg_calls(monkeypatch):
+    """Record every np.linalg.svd and np.linalg.det call from now on: an
+    svd call as (input shape, compute_uv), a det call as its input shape."""
+    calls = {"svd": [], "det": []}
+    svd, det = np.linalg.svd, np.linalg.det
+
+    def counting_svd(a, *args, **kwargs):
+        calls["svd"].append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    def counting_det(a):
+        calls["det"].append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    return calls

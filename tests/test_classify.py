@@ -33,6 +33,7 @@ from spinflip import (
     standard_state,
 )
 from spinflip.classify import _TRIPLES
+from spinflip.invariants import _partition_invariants
 
 import helpers
 
@@ -83,6 +84,8 @@ def test_classify_three_at_any_scale(scale):
         assert got.label == label
         assert got.ranks == classify_three(seed).ranks
         assert got.local_ranks == classify_three(seed).local_ranks
+        for q in (1, 2, 3):
+            assert local_rank(scaled, q) == got.local_ranks[q - 1]
 
 
 def test_classify_three_two_svd_calls(monkeypatch):
@@ -272,6 +275,21 @@ def test_lu_compare_stability_under_unitaries():
         state = random_state(n, 7000 + i)
         moved = apply_local(state, random_local(n, "unitary", 7100 + i))
         assert lu_compare(state, moved).relation == "not-distinguished"
+
+
+def w_plus(eps):
+    """W + eps|111>, normalized: GHZ class, a hair from the W boundary."""
+    amps = standard_state("w", 3).amplitudes.copy()
+    amps[7] = eps
+    return PureState(3, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-12])
+def test_lu_compare_reads_spectra_only(eps):
+    # the power 1..3 ranks of this pair come out non-monotone; lu_compare
+    # compares spectra and never ranks them, so it still gives a verdict
+    verdict = lu_compare(w_plus(eps), standard_state("w", 3))
+    assert isinstance(verdict, CompareVerdict)
 
 
 def test_lu_compare_validation():
@@ -506,3 +524,30 @@ def test_no_label_contradicts_its_evidence(family, k):
         return
     assert found.ranks == _TRIPLES[found.label]
     assert found.local_ranks == LABEL_LOCAL_RANKS[found.label]
+
+
+def test_spectral_routes_make_no_det_call(monkeypatch):
+    # |det| is the product of the singular values from the one SVD
+    calls = helpers.count_linalg_calls(monkeypatch)
+    for label, seed in helpers.class_seeds().items():
+        assert classify_three(seed).label == label
+        family_label(seed)
+        lu_compare(seed, standard_state("w", 3))
+        _partition_invariants(seed, P12_3, 3)
+    for n in (2, 4, 5):
+        state = random_state(n, 7400 + n)
+        _partition_invariants(state, QubitPartition((1,), n), 3)
+        lu_compare(state, state)
+        family_label(state)
+    assert calls["svd"] and calls["det"] == []
+
+
+def test_family_label_c_ab_takes_values_only(monkeypatch):
+    # two SVDs classify, the third gives the pair concurrence from C_1;
+    # none computes singular vectors
+    calls = helpers.count_linalg_calls(monkeypatch)
+    label = family_label(helpers.class_seeds()["C-AB"])
+    assert (label.kind, label.slocc_class) == ("F_c", "C-AB")
+    assert label.value == pytest.approx(0.5, abs=1e-15)
+    assert len(calls["svd"]) == 3
+    assert all(compute_uv is False for _, compute_uv in calls["svd"])

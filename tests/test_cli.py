@@ -297,6 +297,18 @@ def test_compare_lu_same_state(states, capsys):
     assert report["witness"] is None
 
 
+def test_compare_lu_near_w_boundary_exits_0(states, tmp_path, capsys):
+    # W + 1e-11|111> against W: the ranks there come out non-monotone, but
+    # compare-lu compares spectra only, so it gives a verdict
+    path = tmp_path / "w_plus.json"
+    amps = np.zeros(8)
+    amps[[1, 2, 4, 7]] = 1.0, 1.0, 1.0, 1e-11
+    amps /= np.linalg.norm(amps)
+    path.write_text(json.dumps({"n": 3, "amplitudes": [[a, 0.0] for a in amps]}))
+    report = run_report(["compare-lu", str(path), states["w3"]], capsys)
+    assert report["relation"] in ("inequivalent", "not-distinguished")
+
+
 def test_compare_slocc_report(states, capsys):
     report = run_report(["compare-slocc", states["ghz3"], states["w3"]], capsys)
     assert report["relation"] == "inequivalent"
