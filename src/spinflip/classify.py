@@ -26,7 +26,7 @@ from .invariants import (
     singular_values,
     three_qubit_S,
 )
-from .states import AcinForm, PureState, _norm, _peak_scaled, acin_state
+from .states import AcinForm, PureState, _peak_scaled, acin_state
 
 THREE_QUBIT_LABELS = ("GHZ", "W", "A-BC", "B-AC", "C-AB", "A-B-C")
 TWO_QUBIT_LABELS = ("entangled", "product")
@@ -268,54 +268,34 @@ def lu_compare(
     return CompareVerdict("not-distinguished")
 
 
-def _unit(state: PureState) -> PureState:
-    """Rescale to unit norm; SLOCC comparisons are statements about rays.
-
-    The exact power-of-two rescaling of _peak_scaled comes first, so the
-    norm never divides by a subnormal or huge number and cannot overflow.
-    """
-    if state.normalized:
-        return state
-    if not np.any(state.amplitudes):
-        raise ValidationError("cannot compare a zero state")
-    amps = _peak_scaled(state).amplitudes
-    return PureState(state.n, amps / _norm(amps))
-
-
 def slocc_compare(
     a: PureState, b: PureState, tol: float = DEFAULT_RANK_TOL
 ) -> CompareVerdict:
     """Necessary-condition comparison under invertible local operators.
 
-    Accepts unnormalized input (invertible transforms break the norm);
-    every quantity compared is either scale-invariant or computed on the
-    normalized representative of the ray.
+    Every decision is a rank, so the verdict is a statement about rays and
+    accepts unnormalized input (invertible transforms break the norm). Two
+    and three qubits compare their classes. From four qubits up the powers
+    1..3 ranks of rows {1} come first: that 2x2 matrix has the concurrence
+    (even n) or t1, t2 (odd n) as its singular values, so its rank is zero
+    exactly when the closed form is. The default rows follow.
     """
     if a.n != b.n:
         raise ValidationError(f"states have different sizes: {a.n} vs {b.n}")
-    a, b = _unit(a), _unit(b)
-    if a.n % 2 == 0:
-        ca, cb = concurrence_even(a), concurrence_even(b)
-        if (ca <= tol) != (cb <= tol):
-            return CompareVerdict("inequivalent", Witness("concurrence", ca, cb))
-    elif a.n >= 3:
-        ta, tb = odd_invariants(a).ntangle, odd_invariants(b).ntangle
-        if (ta <= tol) != (tb <= tol):
-            return CompareVerdict("inequivalent", Witness("ntangle", ta, tb))
+    if not (np.any(a.amplitudes) and np.any(b.amplitudes)):
+        raise ValidationError("cannot compare a zero state")
     classify = {2: classify_two, 3: classify_three}.get(a.n)
     if classify is not None:
         la, lb = classify(a, tol), classify(b, tol)
         if la != lb:
             return CompareVerdict("inequivalent", Witness("class", la.label, lb.label))
-        ra, rb = la.ranks, lb.ranks
-    else:
-        partition = QubitPartition(default_rows(a.n), a.n)
+        return CompareVerdict("not-distinguished")
+    for rows in ((1,), default_rows(a.n)):
+        partition = QubitPartition(rows, a.n)
         ra = rank_profile(a, partition, 3, tol).ranks
         rb = rank_profile(b, partition, 3, tol).ranks
-    if ra != rb:
-        return CompareVerdict(
-            "inequivalent", Witness("ranks", ra, rb, rows=default_rows(a.n))
-        )
+        if ra != rb:
+            return CompareVerdict("inequivalent", Witness("ranks", ra, rb, rows=rows))
     return CompareVerdict("not-distinguished")
 
 

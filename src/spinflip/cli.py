@@ -256,9 +256,10 @@ def _cmd_verify_congruence(args) -> dict:
     return report
 
 
-def _add_common(parser, rows=False, power=False, compare=False):
-    parser.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL,
-                        help="rank / zero-test tolerance (default 1e-10)")
+def _add_common(parser, tol=True, rows=False, power=False, compare=False):
+    if tol:
+        parser.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL,
+                            help="rank tolerance (default 1e-10)")
     parser.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
     if rows:
         parser.add_argument("--rows", default=None,
@@ -298,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare-lu", help="necessary-condition comparison under local unitaries")
     p.add_argument("state_a")
     p.add_argument("state_b")
-    _add_common(p, rows=True, power=True, compare=True)
+    _add_common(p, tol=False, rows=True, power=True, compare=True)
     p.set_defaults(func=_cmd_compare_lu)
 
     p = sub.add_parser("compare-slocc", help="necessary-condition comparison under SLOCC")
@@ -335,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--residual-tol", type=float, default=DEFAULT_RESIDUAL_TOL,
                    help="pass threshold on the relative residual (default 1e-8)")
-    _add_common(p, rows=True)
+    _add_common(p, tol=False, rows=True)
     p.set_defaults(func=_cmd_verify_congruence)
 
     return parser

@@ -198,12 +198,13 @@ def odd_invariants(state: PureState) -> OddInvariants:
     delta = 2 * abs(e12) ** 2 + abs(e11) ** 2 + abs(e22) ** 2
     hyper = e11 * e22 - e12**2
     dee = abs(hyper) ** 2
-    radicand = max(delta**2 - 4 * dee, 0.0)
-    t1 = math.sqrt((delta + math.sqrt(radicand)) / 2)
-    t2 = math.sqrt(max((delta - math.sqrt(radicand)) / 2, 0.0))
+    ntangle = abs(hyper)
+    t1 = math.sqrt((delta + math.sqrt(max(delta**2 - 4 * dee, 0.0))) / 2)
+    # t1 t2 = ntangle; the difference form of t2 cancels its digits away
+    t2 = ntangle / t1 if t1 else 0.0
     return OddInvariants(
         e11=e11, e12=e12, e22=e22, delta=delta, dee=dee,
-        t1=t1, t2=t2, ntangle=abs(hyper),
+        t1=t1, t2=t2, ntangle=ntangle,
     )
 
 

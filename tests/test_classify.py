@@ -303,11 +303,8 @@ def test_lu_compare_validation():
 def test_slocc_compare_ghz_w():
     verdict = slocc_compare(standard_state("ghz", 3), standard_state("w", 3))
     assert verdict.relation == "inequivalent"
-    # the zero-pattern check fires first: n-tangle 1/4 vs 0; the rank
-    # triples (2,2,2) vs (2,1,0) stand behind it
-    assert verdict.witness.kind == "ntangle"
-    assert verdict.witness.value_a == pytest.approx(0.25, abs=1e-12)
-    assert verdict.witness.value_b == pytest.approx(0.0, abs=1e-12)
+    # the classes stand on the rank triples (2,2,2) and (2,1,0)
+    assert verdict.witness == Witness("class", "GHZ", "W")
 
 
 def test_slocc_compare_accepts_unnormalized_transforms():
@@ -337,9 +334,9 @@ def test_slocc_compare_extreme_scales(scale):
 def test_slocc_compare_ghz5_product():
     verdict = slocc_compare(standard_state("ghz", 5), standard_state("zeros", 5))
     assert verdict.relation == "inequivalent"
-    assert verdict.witness.kind == "ntangle"
-    assert verdict.witness.value_a == pytest.approx(0.25, abs=1e-12)
-    assert verdict.witness.value_b == 0.0
+    # rows {1} decide first: their 2x2 matrix carries t1, t2 = 1/2, 1/2
+    # for GHZ_5 and nothing for the product
+    assert verdict.witness == Witness("ranks", (2, 2, 2), (0, 0, 0), rows=(1,))
 
 
 def test_slocc_compare_rank_witness():
@@ -363,7 +360,8 @@ def test_slocc_compare_dimension_mismatch():
 
 
 def test_witness_soundness():
-    # numeric witnesses must separate by more than 10x the tolerance
+    # numeric witnesses must separate by more than 10x the tolerance; a
+    # SLOCC witness is a class or a rank profile, and its values differ
     pairs = [
         (standard_state("w1"), standard_state("w2"), 1e-9),
         (standard_state("bell"), zeta(), 1e-9),
@@ -378,8 +376,8 @@ def test_witness_soundness():
     for a, b, tol in pairs[2:]:
         verdict = slocc_compare(a, b, tol=tol)
         assert verdict.relation == "inequivalent"
-        gap = abs(verdict.witness.value_a - verdict.witness.value_b)
-        assert gap > 10 * tol
+        assert verdict.witness.kind in ("class", "ranks")
+        assert verdict.witness.value_a != verdict.witness.value_b
 
 
 def test_verdict_type_validation():
@@ -551,3 +549,94 @@ def test_family_label_c_ab_takes_values_only(monkeypatch):
     assert label.value == pytest.approx(0.5, abs=1e-15)
     assert len(calls["svd"]) == 3
     assert all(compute_uv is False for _, compute_uv in calls["svd"])
+
+
+TWO_QUBIT_SEEDS = {
+    "entangled": standard_state("bell"),
+    "product": standard_state("zeros", 2),
+}
+
+
+def _family_state(family, eps):
+    ghz, w = standard_state("ghz", 3).amplitudes, standard_state("w", 3).amplitudes
+    e000, e111 = np.eye(8)[0], np.eye(8)[7]
+    amps = {
+        "cos t|00> + sin t|11>": np.array([math.cos(eps), 0, 0, math.sin(eps)]),
+        "GHZ + eps W": ghz + eps * w,
+        "W + eps|111>": w + eps * e111,
+        "|000> + eps|111>": e000 + eps * e111,
+    }[family]
+    return PureState(int(math.log2(len(amps))), amps / np.linalg.norm(amps))
+
+
+@given(
+    family=st.sampled_from(
+        ["cos t|00> + sin t|11>", "GHZ + eps W", "W + eps|111>", "|000> + eps|111>"]
+    ),
+    k=st.floats(min_value=-14.0, max_value=0.0),
+)
+@example(family="cos t|00> + sin t|11>", k=math.log10(5e-11))
+def test_slocc_verdict_agrees_with_the_classifier(family, k):
+    # the verdict against each class seed is the classifier's label: the
+    # seed of that label is not distinguished, every other seed is
+    # inequivalent, and an input the classifier refuses is refused here too
+    state = _family_state(family, 10.0**k)
+    classify, seeds = (
+        (classify_two, TWO_QUBIT_SEEDS) if state.n == 2
+        else (classify_three, helpers.class_seeds())
+    )
+    try:
+        label = classify(state).label
+    except ToleranceInconsistency:
+        for seed in seeds.values():
+            with pytest.raises(ToleranceInconsistency):
+                slocc_compare(state, seed)
+        return
+    for name, seed in seeds.items():
+        relation = "not-distinguished" if name == label else "inequivalent"
+        assert slocc_compare(state, seed).relation == relation
+
+
+@given(k=st.floats(min_value=-14.0, max_value=0.0))
+@example(k=math.log10(2e-11))
+def test_slocc_verdict_picks_one_seed_along_ghz4(k):
+    # |0000> + c|1111> is GHZ-class for every c != 0; whatever the rank
+    # rule reads at small c, exactly one of GHZ_4 and |0000> matches it
+    amps = np.zeros(16)
+    amps[[0, 15]] = 1.0, 10.0**k
+    state = PureState(4, amps / np.linalg.norm(amps))
+    seeds = (standard_state("ghz", 4), standard_state("zeros", 4))
+    matches = [slocc_compare(state, seed).relation == "not-distinguished" for seed in seeds]
+    assert matches.count(True) == 1
+
+
+def test_slocc_compare_decides_by_ranks_alone(monkeypatch):
+    # no closed form and no det: two value-only SVDs per classify_three
+    # for n = 3, stacked rank profiles from n = 4 up
+    def unreachable(state):
+        raise AssertionError("slocc_compare reached a closed form")
+
+    monkeypatch.setattr("spinflip.classify.concurrence_even", unreachable)
+    monkeypatch.setattr("spinflip.classify.odd_invariants", unreachable)
+    orbit_pairs = []
+    for n in (2, 4, 5, 6):
+        state = random_state(n, 7500 + n)
+        moved = apply_local(state, random_local(n, "invertible", 7600 + n))
+        orbit_pairs.append((state, moved, standard_state("zeros", n)))
+    calls = helpers.count_linalg_calls(monkeypatch)
+    verdict = slocc_compare(standard_state("ghz", 3), standard_state("w", 3))
+    assert verdict.witness == Witness("class", "GHZ", "W")
+    assert len(calls["svd"]) == 4
+    assert all(compute_uv is False for _, compute_uv in calls["svd"])
+    for state, moved, product in orbit_pairs:
+        assert slocc_compare(state, moved).relation == "not-distinguished"
+        assert slocc_compare(state, product).relation == "inequivalent"
+    assert calls["det"] == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_slocc_compare_rejects_a_zero_state(n):
+    zero = PureState(n, np.zeros(2**n), normalized=False)
+    for a, b in ((zero, standard_state("ghz", n)), (standard_state("ghz", n), zero)):
+        with pytest.raises(ValidationError, match="zero state"):
+            slocc_compare(a, b)

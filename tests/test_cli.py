@@ -309,12 +309,54 @@ def test_compare_lu_near_w_boundary_exits_0(states, tmp_path, capsys):
     assert report["relation"] in ("inequivalent", "not-distinguished")
 
 
+def _w_plus_file(path, eps):
+    amps = np.zeros(8)
+    amps[[1, 2, 4, 7]] = 1.0, 1.0, 1.0, eps
+    amps /= np.linalg.norm(amps)
+    path.write_text(json.dumps({"n": 3, "amplitudes": [[a, 0.0] for a in amps]}))
+    return str(path)
+
+
+def test_near_w_closed_forms_report(states, tmp_path, capsys):
+    # W + 1e-8|111>: t2 ~ 1e-8 must come out of t1 t2 = ntangle, not a
+    # cancelling difference that fails the t1*t2 check
+    path = _w_plus_file(tmp_path / "w_plus.json", 1e-8)
+    report = run_report(["invariants", path], capsys)
+    assert report["odd"]["t1"] * report["odd"]["t2"] == pytest.approx(
+        report["ntangle"], rel=1e-15
+    )
+    report = run_report(["compare-lu", path, states["w3"]], capsys)
+    assert report["relation"] in ("inequivalent", "not-distinguished")
+
+
+def test_compare_slocc_flags_what_classify_flags(states, tmp_path, capsys):
+    # W + 1e-11|111> sits on the GHZ/W boundary: both commands exit 3
+    path = _w_plus_file(tmp_path / "w_plus.json", 1e-11)
+    for argv in (["classify", path], ["compare-slocc", path, states["ghz3"]]):
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert "tolerance inconsistency" in err
+
+
+def test_tol_is_refused_where_no_rank_is_read(states, tmp_path, capsys):
+    op_path = tmp_path / "u.json"
+    op_path.write_text(serialize_operator(random_local(3, "unitary", 13)))
+    for argv in (
+        ["compare-lu", states["ghz3"], states["w3"]],
+        ["verify-congruence", states["ghz3"], str(op_path)],
+    ):
+        assert run_report(argv, capsys)["config"]["tol"] is None
+        code, out, err = run(argv + ["--tol", "1e-3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+
 def test_compare_slocc_report(states, capsys):
     report = run_report(["compare-slocc", states["ghz3"], states["w3"]], capsys)
     assert report["relation"] == "inequivalent"
-    assert report["witness"]["kind"] == "ntangle"
-    assert report["witness"]["value_a"] == pytest.approx(0.25, abs=1e-12)
-    assert report["witness"]["value_b"] == pytest.approx(0.0, abs=1e-12)
+    assert report["witness"] == {"kind": "class", "value_a": "GHZ", "value_b": "W"}
 
 
 def test_family_report_three_qubits(states, capsys):

@@ -340,6 +340,17 @@ def test_odd_t1_t2_cross_check():
         assert abs(inv.t1 * inv.t2 - inv.ntangle) < 1e-10
 
 
+@pytest.mark.parametrize("k", np.arange(-2.0, -16.5, -0.5))
+def test_odd_t2_survives_near_product_inputs(k):
+    # W + eps|111>: t2 ~ eps sits far below t1 ~ 0.8, where the difference
+    # form (delta - sqrt(delta^2 - 4 dee)) / 2 loses every digit of t2^2
+    amps = standard_state("w", 3).amplitudes + 10.0**k * np.eye(8)[7]
+    state = PureState(3, amps / np.linalg.norm(amps))
+    inv = odd_invariants(state)
+    sigma = singular_values(omega(state, QubitPartition((1,), 3)).entries)
+    np.testing.assert_allclose((inv.t1, inv.t2), sigma, rtol=0, atol=1e-14)
+
+
 def test_three_qubit_degeneracy_pattern():
     # singular values of the rows {1,2} matrix are (S, S, 0, 0)
     for i in range(50):
