@@ -116,7 +116,6 @@ def _config(args, command: str, rows, **extras) -> dict:
         "rows": list(rows) if rows is not None else None,
         "max_power": getattr(args, "max_power", None),
         "tol": getattr(args, "tol", None),
-        "seed": getattr(args, "seed", None),
         "output": args.output,
     }
     cfg.update(extras)

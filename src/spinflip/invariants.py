@@ -16,7 +16,7 @@ import numpy as np
 from .coeffmat import QubitPartition
 from .errors import ToleranceInconsistency, ValidationError
 from .flip import _omega_powers
-from .states import NORM_ATOL, PureState, _norm, _peak_scaled, parity_signs
+from .states import PureState, _norm, _peak_scaled, parity_signs
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -121,10 +121,7 @@ class InvariantProfile:
 
 
 def _require_normalized(state: PureState, what: str) -> None:
-    if state.normalized:
-        return
-    norm = _norm(state.amplitudes)
-    if not abs(norm * norm - 1.0) <= NORM_ATOL:
+    if not state.normalized:
         raise ValidationError(f"{what} requires a normalized state")
 
 

@@ -59,32 +59,25 @@ def _as_state_vector(amplitudes, n: int) -> np.ndarray:
 class PureState:
     """Immutable pure state of n qubits.
 
-    `normalized` records whether the constructor checked the 2-norm; every
-    generator in this module produces normalized states. Norm failures raise
-    rather than silently renormalizing.
+    `normalized` is measured, not passed: it says whether sum |a_i|^2 lies
+    within NORM_ATOL of 1. Every generator in this module produces
+    normalized states; nothing is silently renormalized.
     """
 
     n: int
     amplitudes: np.ndarray = field(repr=False)
-    normalized: bool = True
+    normalized: bool = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {self.n}")
         vec = _as_state_vector(self.amplitudes, self.n)
+        if not np.isfinite(vec).all():
+            raise ValidationError("amplitudes must be finite")
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
-        if self.normalized:
-            # a NaN or infinite amplitude makes norm_sq NaN or infinite,
-            # and both fail this test
-            norm = _norm(vec)
-            norm_sq = norm * norm
-            if not abs(norm_sq - 1.0) <= NORM_ATOL:
-                raise ValidationError(
-                    f"state marked normalized but sum |a_i|^2 = {norm_sq!r}"
-                )
-        elif not np.isfinite(vec).all():
-            raise ValidationError("amplitudes must be finite")
+        norm = _norm(vec)
+        object.__setattr__(self, "normalized", abs(norm * norm - 1.0) <= NORM_ATOL)
 
     def norm(self) -> float:
         return _norm(self.amplitudes)
@@ -103,7 +96,7 @@ def _peak_scaled(state: PureState) -> PureState:
     scaled = np.empty_like(amps)
     scaled.real = np.ldexp(amps.real, -exp)
     scaled.imag = np.ldexp(amps.imag, -exp)
-    return PureState(state.n, scaled, normalized=False)
+    return PureState(state.n, scaled)
 
 
 @dataclass(frozen=True)
@@ -260,8 +253,8 @@ def apply_local(state: PureState, op: LocalOperator) -> PureState:
     """Apply a tensor product of single-qubit operators to a state.
 
     Works on the reshaped amplitude tensor one axis at a time; never builds
-    the 2^n x 2^n matrix. Unitary kinds preserve the norm, so the normalized
-    flag carries over; invertible operators break it.
+    the 2^n x 2^n matrix. The result measures its own norm: unitary kinds
+    keep it up to rounding, invertible operators change it.
     """
     if op.n != state.n:
         raise ValidationError(
@@ -271,11 +264,7 @@ def apply_local(state: PureState, op: LocalOperator) -> PureState:
     for axis, factor in enumerate(op.factors):
         psi = np.tensordot(factor, psi, axes=(1, axis))
         psi = np.moveaxis(psi, 0, axis)
-    return PureState(
-        state.n,
-        psi.reshape(-1),
-        normalized=state.normalized and op.kind == "unitary",
-    )
+    return PureState(state.n, psi.reshape(-1))
 
 
 def random_state(n: int, seed: int | None = None) -> PureState:
@@ -360,8 +349,7 @@ def parse_state(text: str) -> PureState:
     amps = _pairs_to_complex(doc["amplitudes"], "amplitudes", (2**n,))
     if not np.any(amps):
         raise ValidationError("amplitudes are all zero; a state needs a nonzero norm")
-    norm = _norm(amps)
-    return PureState(n, amps, normalized=abs(norm * norm - 1.0) <= NORM_ATOL)
+    return PureState(n, amps)
 
 
 def serialize_state(state: PureState) -> str:

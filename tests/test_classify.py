@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinflip import (
     AcinForm,
@@ -21,6 +21,7 @@ from spinflip import (
     classify_acin,
     classify_three,
     classify_two,
+    default_rows,
     family_label,
     lu_compare,
     omega_power_sequence,
@@ -32,7 +33,7 @@ from spinflip import (
     rank_profile,
     standard_state,
 )
-from spinflip.classify import _TRIPLES
+from spinflip.classify import THREE_QUBIT_LABELS, _TRIPLES
 from spinflip.invariants import _partition_invariants
 
 import helpers
@@ -79,7 +80,7 @@ def test_classify_three_at_any_scale(scale):
     # a class is a property of the ray, subnormal amplitudes included
     for label in ("GHZ", "W", "C-AB"):
         seed = helpers.class_seeds()[label]
-        scaled = PureState(3, scale * seed.amplitudes, normalized=False)
+        scaled = PureState(3, scale * seed.amplitudes)
         got = classify_three(scaled)
         assert got.label == label
         assert got.ranks == classify_three(seed).ranks
@@ -141,6 +142,29 @@ def test_classify_three_carries_its_evidence():
             assert got.label == label
             assert got.ranks == rank_profile(state, P12_3, 3).ranks
             assert got.local_ranks == tuple(local_rank(state, q) for q in (1, 2, 3))
+
+
+KINDS = st.sampled_from(["unitary", "invertible"])
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@given(label=st.sampled_from(THREE_QUBIT_LABELS), kind=KINDS, seed=SEEDS)
+def test_local_orbits_keep_the_class_and_triple(label, kind, seed):
+    state = helpers.class_seeds()[label]
+    moved = apply_local(state, random_local(3, kind, seed))
+    got = classify_three(moved)
+    assert got.label == label
+    assert got.ranks == classify_three(state).ranks
+
+
+@settings(max_examples=50)
+@given(n=st.integers(4, 6), kind=KINDS, state_seed=SEEDS, op_seed=SEEDS)
+def test_local_orbits_keep_the_rank_profiles(n, kind, state_seed, op_seed):
+    state = random_state(n, state_seed)
+    moved = apply_local(state, random_local(n, kind, op_seed))
+    for rows in ((1,), default_rows(n)):
+        part = QubitPartition(rows, n)
+        assert rank_profile(moved, part, 3).ranks == rank_profile(state, part, 3).ranks
 
 
 def test_slocc_class_equality_ignores_evidence():
@@ -295,7 +319,7 @@ def test_lu_compare_reads_spectra_only(eps):
 def test_lu_compare_validation():
     with pytest.raises(ValidationError):
         lu_compare(standard_state("bell"), standard_state("ghz", 3))
-    lopsided = PureState(2, np.array([2.0, 0, 0, 0], dtype=complex), normalized=False)
+    lopsided = PureState(2, np.array([2.0, 0, 0, 0], dtype=complex))
     with pytest.raises(ValidationError):
         lu_compare(standard_state("bell"), lopsided)
 
@@ -322,7 +346,7 @@ def test_slocc_compare_extreme_scales(scale):
     # SLOCC verdicts are statements about rays: c * GHZ answers as GHZ does,
     # also when c * GHZ has subnormal amplitudes
     ghz, w = standard_state("ghz", 3), standard_state("w", 3)
-    scaled = PureState(3, scale * ghz.amplitudes, normalized=False)
+    scaled = PureState(3, scale * ghz.amplitudes)
     for other, relation in ((w, "inequivalent"), (ghz, "not-distinguished")):
         verdict, reference = slocc_compare(scaled, other), slocc_compare(ghz, other)
         assert verdict.relation == reference.relation == relation
@@ -463,7 +487,7 @@ def test_family_label_w_class_upper_range():
 
 def test_family_label_validation():
     unscaled = PureState(
-        3, np.array([1.0, 1, 0, 0, 0, 0, 0, 0], dtype=complex), normalized=False
+        3, np.array([1.0, 1, 0, 0, 0, 0, 0, 0], dtype=complex)
     )
     with pytest.raises(ValidationError):
         family_label(unscaled)
@@ -636,7 +660,7 @@ def test_slocc_compare_decides_by_ranks_alone(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_slocc_compare_rejects_a_zero_state(n):
-    zero = PureState(n, np.zeros(2**n), normalized=False)
+    zero = PureState(n, np.zeros(2**n))
     for a, b in ((zero, standard_state("ghz", n)), (standard_state("ghz", n), zero)):
         with pytest.raises(ValidationError, match="zero state"):
             slocc_compare(a, b)

@@ -399,6 +399,31 @@ def test_apply_hadamards(states, tmp_path, capsys):
     assert np.allclose(amps, expected, atol=1e-15)
 
 
+def test_near_unitary_operator_applies_and_reads_back_unnormalized(
+    states, tmp_path, capsys
+):
+    # Hadamards written with 9 digits pass the unitarity check (defect
+    # 5.3e-10 < UNITARY_ATOL) but move the norm by 1.6e-9 >> NORM_ATOL:
+    # the result is a valid, unnormalized state
+    r = 0.707106781
+    h = [[[r, 0.0], [r, 0.0]], [[r, 0.0], [-r, 0.0]]]
+    op_path = tmp_path / "h9.json"
+    op_path.write_text(json.dumps({"kind": "unitary", "factors": [h, h, h]}))
+    out_path = tmp_path / "out.json"
+    code, _, err = run(
+        ["apply", states["ghz3"], str(op_path), "-o", str(out_path)], capsys
+    )
+    assert code == 0, err
+    assert parse_state(out_path.read_text()).normalized is False
+    report = run_report(["verify-congruence", states["ghz3"], str(op_path)], capsys)
+    assert report["passed"] is True
+    report = run_report(["invariants", str(out_path)], capsys)
+    assert report["normalized"] is False
+    assert report["ranks"] == [2, 2, 2]
+    assert "powers" not in report["partitions"][0]
+    assert "ntangle" not in report
+
+
 def test_verify_congruence_report(states, tmp_path, capsys):
     op_path = tmp_path / "u.json"
     op_path.write_text(serialize_operator(random_local(3, "unitary", 11)))
@@ -504,6 +529,14 @@ def test_golden_reports(fname, argv_of, states, capsys):
     _VALIDATOR.validate(golden)
     report = run_report(argv_of(states), capsys)
     assert report == golden
+
+
+def test_report_config_is_closed():
+    # config lists the keys commands emit and no placeholder beside them
+    report = json.loads((GOLDEN_DIR / "classify_w.json").read_text())
+    assert "seed" not in report["config"]
+    report["config"]["seed"] = None
+    assert not _VALIDATOR.is_valid(report)
 
 
 def test_golden_contents_independently():

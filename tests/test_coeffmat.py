@@ -25,7 +25,7 @@ RT2 = math.sqrt(2.0)
 
 def int_state(n):
     """Unnormalized state whose amplitude at index i is i, for layout tests."""
-    return PureState(n, np.arange(2**n, dtype=complex), normalized=False)
+    return PureState(n, np.arange(2**n, dtype=complex))
 
 
 def test_partition_basics():
@@ -136,7 +136,7 @@ def test_local_rank_examples():
 
 
 def test_local_rank_zero_state_warns():
-    zero = PureState(2, np.zeros(4, dtype=complex), normalized=False)
+    zero = PureState(2, np.zeros(4, dtype=complex))
     with pytest.warns(RuntimeWarning):
         assert local_rank(zero, 1) == 0
 

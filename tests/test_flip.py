@@ -353,7 +353,7 @@ def test_scale_covariance():
     # a -> s a multiplies the power-l matrix by s^(2l)
     s = 1.7 - 0.3j
     for i, (state, part) in enumerate(helpers.state_partition_cases(20, seed=7500)):
-        scaled = PureState(state.n, s * state.amplitudes, normalized=False)
+        scaled = PureState(state.n, s * state.amplitudes)
         for ell in (1, 2, 3):
             base = omega_power_sequence(state, part, ell)[-1].entries
             got = omega_power_sequence(scaled, part, ell)[-1].entries

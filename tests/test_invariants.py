@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinflip import (
     AcinForm,
@@ -153,7 +154,7 @@ def test_concurrence_rejects_odd_n():
 
 
 def test_concurrence_requires_normalized():
-    bad = PureState(2, np.array([1.0, 1.0, 0, 0], dtype=complex), normalized=False)
+    bad = PureState(2, np.array([1.0, 1.0, 0, 0], dtype=complex))
     with pytest.raises(ValidationError):
         concurrence_even(bad)
 
@@ -293,7 +294,7 @@ def la4_state(a):
     amps[1] = 1j
     amps[6] = 1.0
     amps[11] = -1j
-    return PureState(4, amps, normalized=False)
+    return PureState(4, amps)
 
 
 def test_abs_dets_of_higher_powers_are_derived():
@@ -374,6 +375,29 @@ def test_lu_invariance_of_singular_values_and_det():
         assert _partition_invariants(state, part, 1).abs_dets[0] == pytest.approx(
             _partition_invariants(moved, part, 1).abs_dets[0], abs=1e-9
         )
+
+
+@st.composite
+def permuted_rows(draw):
+    """A seeded random state and a row subset in two orders: ascending and
+    one random permutation of it."""
+    n = draw(st.integers(3, 8))
+    order = draw(st.permutations(range(1, n + 1)))
+    rows = tuple(order[: draw(st.integers(1, n - 1))])
+    return random_state(n, draw(st.integers(0, 2**32 - 1))), tuple(sorted(rows)), rows
+
+
+@settings(max_examples=50)
+@given(permuted_rows())
+def test_permuted_row_order_changes_nothing(case):
+    # reordering the row qubits permutes the rows and columns of every
+    # Omega^(l), which leaves ranks and singular values as they were
+    state, ascending, permuted = case
+    a = _partition_invariants(state, QubitPartition(ascending, state.n), 3)
+    b = _partition_invariants(state, QubitPartition(permuted, state.n), 3)
+    assert a.rank_profile.ranks == b.rank_profile.ranks
+    for sa, sb in zip(a.singular_values, b.singular_values):
+        np.testing.assert_allclose(sb, sa, rtol=0, atol=1e-12 * sa[0])
 
 
 def test_rank_profile_invariant_under_invertible():
@@ -482,14 +506,14 @@ def test_rank_profile_at_any_scale(name, scale):
     # ranks are properties of the ray; raw scales would underflow or
     # overflow Omega^(l), which scales as c^(2l)
     seed = helpers.class_seeds()[name]
-    scaled = PureState(3, scale * seed.amplitudes, normalized=False)
+    scaled = PureState(3, scale * seed.amplitudes)
     assert rank_profile(scaled, P12_3, 3).ranks == rank_profile(seed, P12_3, 3).ranks
 
 
 def test_peak_scaled_is_exact_and_handles_subnormal_peaks():
     ghz = standard_state("ghz", 3)
     for scale in (1e-310, 3e-200, 1e250):
-        raw = PureState(3, scale * (1 + 2j) * ghz.amplitudes, normalized=False)
+        raw = PureState(3, scale * (1 + 2j) * ghz.amplitudes)
         out = _peak_scaled(raw)
         peak = float(np.max(np.abs(out.amplitudes)))
         assert 0.5 <= peak < 1.0

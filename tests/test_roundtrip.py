@@ -36,7 +36,7 @@ def states(draw):
     n = draw(st.integers(1, 6))
     amps = draw(st.lists(complexes, min_size=2**n, max_size=2**n))
     assume(any(amps))
-    return PureState(n, np.array(amps), normalized=False)
+    return PureState(n, np.array(amps))
 
 
 @given(states())

@@ -163,22 +163,22 @@ def test_acin_form_validation():
 def test_pure_state_validation():
     with pytest.raises(ValidationError):
         PureState(2, np.zeros(3, dtype=complex))
-    with pytest.raises(ValidationError):
-        PureState(2, np.ones(4, dtype=complex))  # norm 2, flagged normalized
+    # norm 2: a valid state that measures itself unnormalized
+    assert PureState(2, np.ones(4, dtype=complex)).normalized is False
     with pytest.raises(ValidationError):
         PureState(0, np.ones(1, dtype=complex))
     with pytest.raises(ValidationError):
-        PureState(15, np.zeros(2**15, dtype=complex), normalized=False)
+        PureState(15, np.zeros(2**15, dtype=complex))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
 def test_pure_state_rejects_non_finite_amplitudes(bad):
     amps = np.array([bad, 0, 0, 0], dtype=complex)
     with pytest.raises(ValidationError, match="finite"):
-        PureState(2, amps, normalized=False)
-    # the norm test fails for a NaN or infinite sum, so it covers normalized states
-    with pytest.raises(ValidationError, match="normalized"):
         PureState(2, amps)
+    # the check runs before the norm is measured, for any construction
+    with pytest.raises(ValidationError, match="finite"):
+        PureState(n=2, amplitudes=amps)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -263,7 +263,7 @@ def test_apply_local_invertible_flags_unnormalized():
 def test_apply_local_unitary_keeps_unnormalized_flag():
     # a unitary preserves whatever norm the input had; it must not stamp an
     # unnormalized state as normalized
-    state = PureState(2, 2.0 * standard_state("bell").amplitudes, normalized=False)
+    state = PureState(2, 2.0 * standard_state("bell").amplitudes)
     out = apply_local(state, LocalOperator((SIGMA_X, EYE2)))
     assert not out.normalized
     assert out.norm() == pytest.approx(2.0)
