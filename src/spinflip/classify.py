@@ -16,7 +16,7 @@ from .coeffmat import QubitPartition, _local_ranks, coeff_matrix
 from .errors import ToleranceInconsistency, ValidationError
 from .flip import _omega_powers
 from .invariants import (
-    DEFAULT_RANK_TOL,
+    RANK_TOL,
     _partition_invariants,
     _require_normalized,
     concurrence_even,
@@ -99,12 +99,12 @@ class FamilyLabel:
             )
 
 
-def classify_two(state: PureState, tol: float = DEFAULT_RANK_TOL) -> SloccClass:
+def classify_two(state: PureState) -> SloccClass:
     """Two-qubit classes: the power-1 matrix has rank 2 (entangled) or 0.
     The powers 1..3 ranks ride along as evidence."""
     if state.n != 2:
         raise ValidationError("classify_two requires exactly 2 qubits")
-    ranks = rank_profile(state, QubitPartition((1,), 2), 3, tol).ranks
+    ranks = rank_profile(state, QubitPartition((1,), 2), 3).ranks
     rank = ranks[0]
     if rank == 2:
         return SloccClass("entangled", ranks)
@@ -112,7 +112,7 @@ def classify_two(state: PureState, tol: float = DEFAULT_RANK_TOL) -> SloccClass:
         return SloccClass("product", ranks)
     raise ToleranceInconsistency(
         f"two-qubit power-1 matrix has rank {rank}; expected 0 or 2",
-        details={"rank": rank, "tol": tol},
+        details={"rank": rank, "tol": RANK_TOL},
     )
 
 
@@ -129,22 +129,22 @@ _TRIPLES = {
 _SEPARATED = {(1,): "A-BC", (2,): "B-AC", (3,): "C-AB", (1, 2, 3): "A-B-C"}
 
 
-def classify_three(state: PureState, tol: float = DEFAULT_RANK_TOL) -> SloccClass:
+def classify_three(state: PureState) -> SloccClass:
     """Six-class SLOCC classification of a three-qubit state.
 
     The single-qubit local ranks name the qubits that factor out: none
     (all at 2) for GHZ and W, which the rank triple then tells apart; one
     for the biseparable classes and all three for the product class, whose
     triples (2,0,0)/(0,0,0) are shared. The triple and the local ranks must
-    tell a consistent story or the input sits on a tolerance boundary.
+    tell a consistent story or the input sits on a rank boundary.
     """
     if state.n != 3:
         raise ValidationError("classify_three requires exactly 3 qubits")
     # the triple and the local ranks read the ray at the exact peak scale
     state = _peak_scaled(state)
-    inv = _partition_invariants(state, QubitPartition((1, 2), 3), 3, tol)
+    inv = _partition_invariants(state, QubitPartition((1, 2), 3), 3)
     triple = inv.rank_profile.ranks
-    local = _local_ranks(state, tol)
+    local = _local_ranks(state)
     if local == (2, 2, 2):
         label = {_TRIPLES["GHZ"]: "GHZ", _TRIPLES["W"]: "W"}.get(triple)
     else:
@@ -152,7 +152,7 @@ def classify_three(state: PureState, tol: float = DEFAULT_RANK_TOL) -> SloccClas
     if label is None:
         raise ToleranceInconsistency(
             f"rank triple {triple} with local ranks {local} matches no class",
-            details={"triple": triple, "local_ranks": local, "tol": tol},
+            details={"triple": triple, "local_ranks": local, "tol": RANK_TOL},
         )
     if triple != _TRIPLES[label]:
         raise ToleranceInconsistency(
@@ -162,40 +162,38 @@ def classify_three(state: PureState, tol: float = DEFAULT_RANK_TOL) -> SloccClas
     return SloccClass(label, triple, local)
 
 
-def _acin_tree(form: AcinForm, tol: float) -> str:
-    """Decision tree over the canonical-form weights, thresholded at tol."""
+def _acin_tree(form: AcinForm) -> str:
+    """Decision tree over the canonical-form weights, thresholded at RANK_TOL."""
     l0, l1, l2, l3, l4 = form.lambdas()
-    if l0 * l4 > tol:
+    if l0 * l4 > RANK_TOL:
         return "GHZ"
-    if l4 <= tol:
-        if l0 <= tol:
+    if l4 <= RANK_TOL:
+        if l0 <= RANK_TOL:
             # both ends vanish: qubit 1 factors out
-            return "A-B-C" if l2 * l3 <= tol else "A-BC"
-        if l2 <= tol and l3 <= tol:
+            return "A-B-C" if l2 * l3 <= RANK_TOL else "A-BC"
+        if l2 <= RANK_TOL and l3 <= RANK_TOL:
             return "A-B-C"
-        if l2 <= tol:
+        if l2 <= RANK_TOL:
             return "C-AB"
-        if l3 <= tol:
+        if l3 <= RANK_TOL:
             return "B-AC"
         return "W"
     # l0 vanishes, l4 does not: qubit 1 factors; the rest is entangled
     # unless the 2x2 block determinant l2 l3 - l1 l4 e^{i phi} vanishes
     det = l2 * l3 - l1 * l4 * np.exp(1j * form.phi)
-    return "A-B-C" if abs(det) <= tol else "A-BC"
+    return "A-B-C" if abs(det) <= RANK_TOL else "A-BC"
 
 
-def classify_acin(
-    form: AcinForm, tol: float = DEFAULT_RANK_TOL
-) -> tuple[SloccClass, tuple[int, int, int], float]:
+def classify_acin(form: AcinForm) -> tuple[SloccClass, tuple[int, int, int], float]:
     """Class of a canonical form via the decision tree, cross-checked
     against the numerical classifier; returns (class, rank triple, S)."""
-    tree_label = _acin_tree(form, tol)
+    tree_label = _acin_tree(form)
     state = acin_state(form)
-    numeric = classify_three(state, tol)
+    numeric = classify_three(state)
     if numeric.label != tree_label:
         raise ToleranceInconsistency(
             f"decision tree says {tree_label} but numerical ranks say "
-            f"{numeric.label}; input is near a tolerance boundary",
+            f"{numeric.label}; input is near a rank boundary",
             details={"tree": tree_label, "numeric": numeric.label,
                      "lambdas": form.lambdas(), "phi": form.phi},
         )
@@ -268,9 +266,7 @@ def lu_compare(
     return CompareVerdict("not-distinguished")
 
 
-def slocc_compare(
-    a: PureState, b: PureState, tol: float = DEFAULT_RANK_TOL
-) -> CompareVerdict:
+def slocc_compare(a: PureState, b: PureState) -> CompareVerdict:
     """Necessary-condition comparison under invertible local operators.
 
     Every decision is a rank, so the verdict is a statement about rays and
@@ -286,20 +282,20 @@ def slocc_compare(
         raise ValidationError("cannot compare a zero state")
     classify = {2: classify_two, 3: classify_three}.get(a.n)
     if classify is not None:
-        la, lb = classify(a, tol), classify(b, tol)
+        la, lb = classify(a), classify(b)
         if la != lb:
             return CompareVerdict("inequivalent", Witness("class", la.label, lb.label))
         return CompareVerdict("not-distinguished")
     for rows in ((1,), default_rows(a.n)):
         partition = QubitPartition(rows, a.n)
-        ra = rank_profile(a, partition, 3, tol).ranks
-        rb = rank_profile(b, partition, 3, tol).ranks
+        ra = rank_profile(a, partition, 3).ranks
+        rb = rank_profile(b, partition, 3).ranks
         if ra != rb:
             return CompareVerdict("inequivalent", Witness("ranks", ra, rb, rows=rows))
     return CompareVerdict("not-distinguished")
 
 
-def family_label(state: PureState, tol: float = DEFAULT_RANK_TOL) -> FamilyLabel:
+def family_label(state: PureState) -> FamilyLabel:
     """LU family: F_c by concurrence (even n), F_g by n-tangle (odd n > 3),
     F_S by S within each three-qubit class, except C-AB which is an F_c
     family of its entangled pair and the full product class, a single
@@ -311,7 +307,7 @@ def family_label(state: PureState, tol: float = DEFAULT_RANK_TOL) -> FamilyLabel
         return FamilyLabel("F_c", concurrence_even(state))
     if state.n != 3:
         return FamilyLabel("F_g", odd_invariants(state).ntangle)
-    label = classify_three(state, tol).label
+    label = classify_three(state).label
     if label == "C-AB":
         # C_1 of chi (x) phi is the Kronecker product of the pair's 2x2
         # amplitude matrix chi with the unit vector phi, so the product of

@@ -31,12 +31,7 @@ from .classify import (
 from .coeffmat import QubitPartition
 from .errors import ToleranceInconsistency, ValidationError
 from .flip import verify_congruence
-from .invariants import (
-    DEFAULT_RANK_TOL,
-    default_rows,
-    invariant_profile,
-    rank_profile,
-)
+from .invariants import RANK_TOL, default_rows, invariant_profile, rank_profile
 from .states import (
     AcinForm,
     acin_state,
@@ -51,6 +46,9 @@ from .states import (
 TOOL_NAME = "spinflip"
 
 DEFAULT_RESIDUAL_TOL = 1e-8
+
+# the subcommands whose reports rest on ranks; their config echoes RANK_TOL
+_RANK_COMMANDS = ("invariants", "classify", "classify-acin", "compare-slocc", "family")
 
 
 def _jsonable(value):
@@ -115,7 +113,7 @@ def _config(args, command: str, rows, **extras) -> dict:
     cfg = {
         "rows": list(rows) if rows is not None else None,
         "max_power": getattr(args, "max_power", None),
-        "tol": getattr(args, "tol", None),
+        "tol": RANK_TOL if command in _RANK_COMMANDS else None,
         "output": args.output,
     }
     cfg.update(extras)
@@ -129,16 +127,16 @@ def _cmd_invariants(args) -> dict:
     report["n"] = state.n
     report["normalized"] = state.normalized
     if state.normalized:
-        profile = invariant_profile(state, [partition], args.max_power, args.tol)
+        profile = invariant_profile(state, [partition], args.max_power)
         part = profile.partitions[0]
         rp = part.rank_profile
     else:
         # ranks are facts about the ray; singular values and |det| scale as
         # |c|^(2l) and the closed forms need unit norm, so they are omitted
         profile = None
-        rp = rank_profile(state, partition, args.max_power, args.tol)
+        rp = rank_profile(state, partition, args.max_power)
     report["ranks"] = list(rp.ranks)
-    block = {"rows": list(partition.rows), "ranks": list(rp.ranks), "tolerance": rp.tolerance}
+    block = {"rows": list(partition.rows), "ranks": list(rp.ranks), "tolerance": RANK_TOL}
     report["partitions"] = [block]
     if profile is None:
         return report
@@ -161,7 +159,7 @@ def _cmd_classify(args) -> dict:
     classify = {2: classify_two, 3: classify_three}.get(state.n)
     if classify is None:
         raise ValidationError("classify handles 2- and 3-qubit states only")
-    label = classify(state, args.tol)
+    label = classify(state)
     report = _config(args, "classify", default_rows(state.n))
     report["n"] = state.n
     report["class"] = label.label
@@ -173,7 +171,7 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_classify_acin(args) -> dict:
     form = _parse_acin(args.acin, args.phi)
-    label, triple, s_value = classify_acin(form, args.tol)
+    label, triple, s_value = classify_acin(form)
     report = _config(args, "classify-acin", (1, 2))
     report["lambdas"] = list(form.lambdas())
     report["phi"] = form.phi
@@ -197,7 +195,7 @@ def _cmd_compare_lu(args) -> dict:
 
 def _cmd_compare_slocc(args) -> dict:
     a, b = (_read(path, parse_state, "state") for path in (args.state_a, args.state_b))
-    verdict = slocc_compare(a, b, args.tol)
+    verdict = slocc_compare(a, b)
     report = _config(args, "compare-slocc", default_rows(a.n))
     report["relation"] = verdict.relation
     report["witness"] = verdict.witness
@@ -206,7 +204,7 @@ def _cmd_compare_slocc(args) -> dict:
 
 def _cmd_family(args) -> dict:
     state = _read(args.state, parse_state, "state")
-    label = family_label(state, args.tol)
+    label = family_label(state)
     rows = default_rows(state.n) if state.n == 3 else None
     report = _config(args, "family", rows)
     report["kind"] = label.kind
@@ -255,10 +253,7 @@ def _cmd_verify_congruence(args) -> dict:
     return report
 
 
-def _add_common(parser, tol=True, rows=False, power=False, compare=False):
-    if tol:
-        parser.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL,
-                            help="rank tolerance (default 1e-10)")
+def _add_common(parser, rows=False, power=False, compare=False):
     parser.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
     if rows:
         parser.add_argument("--rows", default=None,
@@ -298,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare-lu", help="necessary-condition comparison under local unitaries")
     p.add_argument("state_a")
     p.add_argument("state_b")
-    _add_common(p, tol=False, rows=True, power=True, compare=True)
+    _add_common(p, rows=True, power=True, compare=True)
     p.set_defaults(func=_cmd_compare_lu)
 
     p = sub.add_parser("compare-slocc", help="necessary-condition comparison under SLOCC")
@@ -335,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--residual-tol", type=float, default=DEFAULT_RESIDUAL_TOL,
                    help="pass threshold on the relative residual (default 1e-8)")
-    _add_common(p, tol=False, rows=True)
+    _add_common(p, rows=True)
     p.set_defaults(func=_cmd_verify_congruence)
 
     return parser

@@ -81,7 +81,7 @@ def _local_index(n: int) -> np.ndarray:
     return table
 
 
-def _local_ranks(state: PureState, tol: float) -> tuple[int, ...]:
+def _local_ranks(state: PureState) -> tuple[int, ...]:
     """Ranks of all n single-qubit coefficient matrices C_1..C_n, from one
     gather and one stacked SVD."""
     # deferred import: invariants depends on this module
@@ -89,10 +89,10 @@ def _local_ranks(state: PureState, tol: float) -> tuple[int, ...]:
 
     stack = state.amplitudes[_local_index(state.n)]
     floor = NOISE_FLOOR * float(np.max(np.abs(state.amplitudes)))
-    return tuple(_rank(singular_values(stack), tol, floor).tolist())
+    return tuple(_rank(singular_values(stack), floor).tolist())
 
 
-def local_rank(state: PureState, qubit: int, tol: float = 1e-10) -> int:
+def local_rank(state: PureState, qubit: int) -> int:
     """Numerical rank of the single-qubit coefficient matrix C_qubit.
 
     Rank 1 certifies the qubit factors out of the rest of the state; rank 0
@@ -107,4 +107,4 @@ def local_rank(state: PureState, qubit: int, tol: float = 1e-10) -> int:
             "local_rank of the zero state is 0", RuntimeWarning, stacklevel=2
         )
         return 0
-    return _local_ranks(_peak_scaled(state), tol)[qubit - 1]
+    return _local_ranks(_peak_scaled(state))[qubit - 1]

@@ -36,7 +36,7 @@ class OmegaMatrix:
         if self.power < 1:
             raise ValidationError(f"power must be >= 1, got {self.power}")
         dim = 2**self.partition.size
-        mat = np.asarray(self.entries, dtype=complex)
+        mat = np.array(self.entries, dtype=complex)  # copied: the caller's array stays writable
         if mat.shape != (dim, dim):
             raise ValidationError(f"entries must be {dim}x{dim}, got {mat.shape}")
         mat.setflags(write=False)
@@ -114,7 +114,7 @@ def omega_power_sequence(
     state: PureState, partition: QubitPartition, max_power: int
 ) -> list[OmegaMatrix]:
     """Powers 1..max_power, sharing one pass of the recursion. Each entry
-    views one row of the stack; power 1 is checked once, on row 0."""
+    copies one row of the stack; power 1 is checked once, on row 0."""
     stack = _stack_powers(_power_one(state, partition), partition, max_power)
     return [OmegaMatrix(partition, ell, mat) for ell, mat in enumerate(stack, start=1)]
 

@@ -18,7 +18,9 @@ from .errors import ToleranceInconsistency, ValidationError
 from .flip import _omega_powers
 from .states import PureState, _norm, _peak_scaled, parity_signs
 
-DEFAULT_RANK_TOL = 1e-10
+# the one rank threshold: a singular value counts toward the rank when it
+# exceeds this fraction of its spectrum's top value
+RANK_TOL = 1e-10
 
 # absolute floor keeping relative thresholds meaningful near zero
 TINY = 1e-300
@@ -42,17 +44,15 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(mat, compute_uv=False)
 
 
-def _rank(sigma: np.ndarray, tol: float, floor) -> np.ndarray:
+def _rank(sigma: np.ndarray, floor) -> np.ndarray:
     """The one rank rule, over a stack of descending spectra (last axis):
     0 when the top singular value is at or below the noise floor, else the
-    count above tol relative to the top value. floor broadcasts against
-    the leading axes."""
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    count above RANK_TOL relative to the top value. floor broadcasts
+    against the leading axes."""
     if sigma.shape[-1] == 0:
         return np.zeros(sigma.shape[:-1], dtype=int)
     top = sigma[..., :1]
-    counts = np.sum(sigma > tol * np.maximum(top, TINY), axis=-1)
+    counts = np.sum(sigma > RANK_TOL * np.maximum(top, TINY), axis=-1)
     return np.where(top[..., 0] > floor, counts, 0)
 
 
@@ -62,7 +62,6 @@ class RankProfile:
 
     partition: QubitPartition
     ranks: tuple[int, ...]
-    tolerance: float
 
     def __post_init__(self):
         ranks = tuple(int(r) for r in self.ranks)
@@ -70,8 +69,8 @@ class RankProfile:
         if any(a < b for a, b in zip(ranks, ranks[1:])):
             raise ToleranceInconsistency(
                 f"rank sequence {ranks} is not non-increasing; "
-                f"tolerance {self.tolerance} is misconfigured for this input",
-                details={"ranks": ranks, "tolerance": self.tolerance},
+                "the input sits on a rank boundary",
+                details={"ranks": ranks, "tolerance": RANK_TOL},
             )
 
 
@@ -129,7 +128,6 @@ def _partition_invariants(
     state: PureState,
     partition: QubitPartition,
     max_power: int = 3,
-    tol: float = DEFAULT_RANK_TOL,
 ) -> PartitionInvariants:
     stack = _omega_powers(state, partition, max_power)
     sigmas = singular_values(stack)
@@ -144,11 +142,11 @@ def _partition_invariants(
     base = max(norm * norm, TINY)
     scale1 = float(sigmas[0, 0])
     floors = [NOISE_FLOOR * base * scale1**ell for ell in range(max_power)]
-    ranks = _rank(sigmas, tol, np.array(floors))
+    ranks = _rank(sigmas, np.array(floors))
     # |det| is the product of the singular values, so it comes from the
     # same SVD as the ranks
     dets = tuple(np.prod(sigmas, axis=-1).tolist())
-    profile = RankProfile(partition, tuple(ranks.tolist()), tol)
+    profile = RankProfile(partition, tuple(ranks.tolist()))
     return PartitionInvariants(profile, tuple(sigmas), dets)
 
 
@@ -156,12 +154,11 @@ def rank_profile(
     state: PureState,
     partition: QubitPartition,
     max_power: int = 3,
-    tol: float = DEFAULT_RANK_TOL,
 ) -> RankProfile:
     """Ranks of the power-1..max_power matrices, non-increasing by contract;
     properties of the ray, so any nonzero scale gives the same ranks."""
     state = _peak_scaled(state)
-    return _partition_invariants(state, partition, max_power, tol).rank_profile
+    return _partition_invariants(state, partition, max_power).rank_profile
 
 
 def concurrence_even(state: PureState) -> float:
@@ -227,15 +224,12 @@ def invariant_profile(
     state: PureState,
     partitions: list[QubitPartition] | None = None,
     max_power: int = 3,
-    tol: float = DEFAULT_RANK_TOL,
 ) -> InvariantProfile:
     """Full profile: per-partition ranks, singular values, |det| per power,
     plus the parity-appropriate closed forms."""
     if partitions is None:
         partitions = [QubitPartition(default_rows(state.n), state.n)]
-    per_partition = tuple(
-        _partition_invariants(state, p, max_power, tol) for p in partitions
-    )
+    per_partition = tuple(_partition_invariants(state, p, max_power) for p in partitions)
     concurrence = odd = s_value = None
     if state.n % 2 == 0:
         concurrence = concurrence_even(state)

@@ -46,15 +46,6 @@ def _norm(amps: np.ndarray) -> float:
     return peak * math.sqrt(float(mags @ mags))
 
 
-def _as_state_vector(amplitudes, n: int) -> np.ndarray:
-    vec = np.asarray(amplitudes, dtype=complex)
-    if vec.shape != (2**n,):
-        raise ValidationError(
-            f"expected {2**n} amplitudes for n={n}, got shape {vec.shape}"
-        )
-    return vec
-
-
 @dataclass(frozen=True)
 class PureState:
     """Immutable pure state of n qubits.
@@ -71,7 +62,12 @@ class PureState:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {self.n}")
-        vec = _as_state_vector(self.amplitudes, self.n)
+        # a copy, so that freezing it leaves the caller's array writable
+        vec = np.array(self.amplitudes, dtype=complex)
+        if vec.shape != (2**self.n,):
+            raise ValidationError(
+                f"expected {2**self.n} amplitudes for n={self.n}, got shape {vec.shape}"
+            )
         if not np.isfinite(vec).all():
             raise ValidationError("amplitudes must be finite")
         vec.setflags(write=False)
@@ -116,7 +112,7 @@ class LocalOperator:
             raise ValidationError(f"unknown operator kind {self.kind!r}")
         checked = []
         for k, factor in enumerate(self.factors):
-            mat = np.asarray(factor, dtype=complex)
+            mat = np.array(factor, dtype=complex)  # copied: the caller's array stays writable
             if mat.shape != (2, 2):
                 raise ValidationError(
                     f"factor {k} must be 2x2, got shape {mat.shape}"
@@ -271,9 +267,15 @@ def random_state(n: int, seed: int | None = None) -> PureState:
     """Haar-random pure state: normalized vector of iid complex Gaussians."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return PureState(n, vec / np.linalg.norm(vec))
+
+
+def _rng(seed: int | None) -> np.random.Generator:
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _haar_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
@@ -305,7 +307,7 @@ def random_local(n: int, kind: str = "unitary", seed: int | None = None) -> Loca
     """Random local operator: Haar unitaries or well-conditioned invertibles."""
     if kind not in ("unitary", "invertible"):
         raise ValidationError(f"unknown operator kind {kind!r}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if kind == "unitary":
         factors = [_haar_unitary_2x2(rng) for _ in range(n)]
     else:

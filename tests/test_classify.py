@@ -386,19 +386,16 @@ def test_slocc_compare_dimension_mismatch():
 def test_witness_soundness():
     # numeric witnesses must separate by more than 10x the tolerance; a
     # SLOCC witness is a class or a rank profile, and its values differ
-    pairs = [
-        (standard_state("w1"), standard_state("w2"), 1e-9),
-        (standard_state("bell"), zeta(), 1e-9),
-        (standard_state("ghz", 3), standard_state("w", 3), 1e-10),
-        (standard_state("ghz", 5), standard_state("zeros", 5), 1e-10),
-    ]
-    for a, b, tol in pairs[:2]:
+    tol = 1e-9
+    for a, b in [(standard_state("w1"), standard_state("w2")),
+                 (standard_state("bell"), zeta())]:
         verdict = lu_compare(a, b, tol=tol)
         assert verdict.relation == "inequivalent"
         gap = abs(verdict.witness.value_a - verdict.witness.value_b)
         assert gap > 10 * tol
-    for a, b, tol in pairs[2:]:
-        verdict = slocc_compare(a, b, tol=tol)
+    for a, b in [(standard_state("ghz", 3), standard_state("w", 3)),
+                 (standard_state("ghz", 5), standard_state("zeros", 5))]:
+        verdict = slocc_compare(a, b)
         assert verdict.relation == "inequivalent"
         assert verdict.witness.kind in ("class", "ranks")
         assert verdict.witness.value_a != verdict.witness.value_b
@@ -524,28 +521,53 @@ LABEL_LOCAL_RANKS = {
 
 
 @given(
-    family=st.sampled_from(["GHZ + eps W", "W + eps|111>", "|000> + eps|111>"]),
+    family=st.sampled_from([
+        "GHZ + eps W", "W + eps|111>", "|000> + eps|111>",
+        "sqrt(eps)|001> + |010> + |100>", "GHZ form, l4 = eps",
+    ]),
     k=st.floats(min_value=-14.0, max_value=0.0),
 )
 @example(family="|000> + eps|111>", k=-10.0)
 def test_no_label_contradicts_its_evidence(family, k):
     # near a class boundary the classifier may refuse, but a label it
-    # returns must agree with both its rank triple and its local ranks
+    # returns must agree with both its rank triple and its local ranks;
+    # the last two families degenerate from W to C-AB and from a GHZ
+    # canonical form to W as eps -> 0
     eps = 10.0**k
     ghz, w = standard_state("ghz", 3).amplitudes, standard_state("w", 3).amplitudes
-    e000, e111 = np.eye(8)[0], np.eye(8)[7]
-    amps = {
-        "GHZ + eps W": ghz + eps * w,
-        "W + eps|111>": w + eps * e111,
-        "|000> + eps|111>": e000 + eps * e111,
-    }[family]
-    state = PureState(3, amps / np.linalg.norm(amps))
+    e = np.eye(8)
     try:
-        found = classify_three(state)
+        if family == "GHZ form, l4 = eps":
+            lams = np.array([1.0, 0.5, 0.5, 0.5, eps])
+            found = classify_acin(AcinForm(*(lams / np.linalg.norm(lams)).tolist()))[0]
+        else:
+            amps = {
+                "GHZ + eps W": ghz + eps * w,
+                "W + eps|111>": w + eps * e[7],
+                "|000> + eps|111>": e[0] + eps * e[7],
+                "sqrt(eps)|001> + |010> + |100>": math.sqrt(eps) * e[1] + e[2] + e[4],
+            }[family]
+            found = classify_three(PureState(3, amps / np.linalg.norm(amps)))
     except ToleranceInconsistency:
         return
     assert found.ranks == _TRIPLES[found.label]
     assert found.local_ranks == LABEL_LOCAL_RANKS[found.label]
+
+
+@given(
+    label=st.sampled_from(THREE_QUBIT_LABELS),
+    seed=st.integers(0, 2**32 - 1),
+    mantissa=st.floats(1.0, 10.0, exclude_max=True),
+    k=st.integers(-150, 150),
+)
+def test_classify_three_scale_sweep(label, seed, mantissa, k):
+    # class, rank triple and local ranks belong to the ray: scaling an
+    # SLOCC image of a class seed by mantissa * 10^k changes none of them
+    state = apply_local(helpers.class_seeds()[label], random_local(3, "invertible", seed))
+    scaled = PureState(3, mantissa * 10.0**k * state.amplitudes)
+    want, got = classify_three(state), classify_three(scaled)
+    assert want.label == label
+    assert (got.label, got.ranks, got.local_ranks) == (label, want.ranks, want.local_ranks)
 
 
 def test_spectral_routes_make_no_det_call(monkeypatch):

@@ -340,13 +340,26 @@ def test_compare_slocc_flags_what_classify_flags(states, tmp_path, capsys):
 
 
 def test_tol_is_refused_where_no_rank_is_read(states, tmp_path, capsys):
+    # the rank threshold is the library constant RANK_TOL, not an option:
+    # no subcommand takes --tol, and config.tol echoes the constant where
+    # ranks decide the report
     op_path = tmp_path / "u.json"
     op_path.write_text(serialize_operator(random_local(3, "unitary", 13)))
-    for argv in (
-        ["compare-lu", states["ghz3"], states["w3"]],
-        ["verify-congruence", states["ghz3"], str(op_path)],
-    ):
-        assert run_report(argv, capsys)["config"]["tol"] is None
+    reports = [
+        (["invariants", states["ghz3"]], 1e-10),
+        (["classify", states["w3"]], 1e-10),
+        (["classify-acin", "--acin", "0.5,0.5,0.5,0.5,0"], 1e-10),
+        (["compare-slocc", states["ghz3"], states["w3"]], 1e-10),
+        (["family", states["xi"]], 1e-10),
+        (["compare-lu", states["ghz3"], states["w3"]], None),
+        (["verify-congruence", states["ghz3"], str(op_path)], None),
+    ]
+    for argv, tol in reports:
+        assert run_report(argv, capsys)["config"]["tol"] == tol
+    writers = [["gen", "--state", "bell"], ["apply", states["ghz3"], str(op_path)]]
+    for argv in writers:
+        assert run(argv, capsys)[0] == 0
+    for argv in [argv for argv, _ in reports] + writers:
         code, out, err = run(argv + ["--tol", "1e-3"], capsys)
         assert code == 2
         assert out == ""
@@ -489,6 +502,10 @@ def test_exit_codes_for_bad_input(states, tmp_path, capsys):
 
     unwritable = str(tmp_path / "missing-dir" / "report.json")
     assert run(["classify", states["ghz3"], "-o", unwritable], capsys)[0] == 2
+
+    code, out, err = run(["gen", "--random", "--n", "3", "--seed", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert "seed" in err and "Traceback" not in err
 
 
 def test_report_determinism(states, tmp_path, capsys):

@@ -243,9 +243,9 @@ def test_omega_power_sequence_consistent():
         assert np.array_equal(item.entries, last.entries)
 
 
-def test_omega_power_sequence_views_the_stack():
-    # the sequence's entries are read-only views of the stacked recursion,
-    # and each row is exactly the two-step recursion product
+def test_omega_power_sequence_matches_the_stack():
+    # the sequence's entries are read-only copies of the stacked recursion's
+    # rows, and each row is exactly the two-step recursion product
     rng = np.random.default_rng(4100)
     for n in range(3, 7):
         state = random_state(n, 4100 + n)
@@ -261,10 +261,19 @@ def test_omega_power_sequence_views_the_stack():
         for ell, item in enumerate(seq, start=1):
             assert item.power == ell
             assert not item.entries.flags.writeable
-            assert item.entries.base is seq[0].entries.base
             assert np.array_equal(item.entries, stack[ell - 1])
             assert np.array_equal(item.entries, current)
             current = _times_kernel(current, part.size) @ base
+
+
+def test_omega_matrix_copies_the_callers_array():
+    # freezing the entries must not freeze the array the caller passed in
+    part = QubitPartition((1,), 2)
+    mat = omega(standard_state("bell"), part).entries.copy()
+    om = OmegaMatrix(part, 1, mat)
+    mat[0, 0] = 7.0
+    assert mat.flags.writeable and om.entries[0, 0] != 7.0
+    assert not om.entries.flags.writeable
 
 
 def test_power_one_checked_once_per_sequence(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for ranks, singular values, determinants, and closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,8 +31,8 @@ from spinflip import (
     three_qubit_S,
 )
 from spinflip.invariants import (
-    DEFAULT_RANK_TOL,
     NOISE_FLOOR,
+    RANK_TOL,
     _partition_invariants,
     _peak_scaled,
     _rank,
@@ -82,10 +83,10 @@ def test_singular_values_rejects_nonfinite():
 def test_numerical_rank_bell_and_product():
     bell_omega = omega(standard_state("bell"), QubitPartition((1,), 2)).entries
     floor = NOISE_FLOOR * np.max(np.abs(bell_omega))
-    assert _rank(singular_values(bell_omega), DEFAULT_RANK_TOL, floor) == 2
+    assert _rank(singular_values(bell_omega), floor) == 2
     zz = omega(standard_state("zeros", 2), QubitPartition((1,), 2)).entries
     floor = NOISE_FLOOR * np.max(np.abs(zz))
-    assert _rank(singular_values(zz), DEFAULT_RANK_TOL, floor) == 0
+    assert _rank(singular_values(zz), floor) == 0
 
 
 def test_numerical_rank_threshold_contract():
@@ -98,15 +99,13 @@ def test_numerical_rank_threshold_contract():
     ]
     for m, rank in cases:
         floor = NOISE_FLOOR * np.max(np.abs(m))
-        assert _rank(singular_values(m), DEFAULT_RANK_TOL, floor) == rank
+        assert _rank(singular_values(m), floor) == rank
 
 
 def test_numerical_rank_validation():
-    with pytest.raises(ValidationError):
-        _rank(singular_values(np.eye(2)), 0.0, NOISE_FLOOR)
     nan_matrix = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValidationError):
-        _rank(singular_values(nan_matrix), DEFAULT_RANK_TOL, 0.0)
+        _rank(singular_values(nan_matrix), 0.0)
 
 
 def test_rank_profile_table_rows():
@@ -115,15 +114,17 @@ def test_rank_profile_table_rows():
     assert rank_profile(standard_state("xi"), P12_3, 3).ranks == (2, 2, 2)
 
 
-def test_rank_profile_records_tolerance():
-    profile = rank_profile(standard_state("ghz", 3), P12_3, 2, tol=1e-8)
-    assert profile.tolerance == 1e-8
-    assert profile.ranks == (2, 2)
+def test_rank_profile_holds_only_partition_and_ranks():
+    # the threshold is the library's RANK_TOL, not a per-profile field
+    assert [f.name for f in dataclasses.fields(RankProfile)] == ["partition", "ranks"]
 
 
 def test_rank_profile_monotonicity_enforced():
-    with pytest.raises(ToleranceInconsistency):
-        RankProfile(P12_3, (1, 2, 0), 1e-10)
+    with pytest.raises(ToleranceInconsistency) as exc:
+        RankProfile(P12_3, (1, 2, 0))
+    assert "rank boundary" in str(exc.value)
+    assert exc.value.details == {"ranks": (1, 2, 0), "tolerance": RANK_TOL}
+    assert RANK_TOL == 1e-10
 
 
 def test_concurrence_bell():
@@ -448,11 +449,6 @@ def test_invariant_profile_multiple_partitions():
     assert len(prof.partitions[0].singular_values) == 2
 
 
-def test_rank_tol_validation():
-    with pytest.raises(ValidationError):
-        rank_profile(standard_state("ghz", 3), P12_3, 3, tol=-1.0)
-
-
 @pytest.mark.parametrize("max_power", [1, 3, 5])
 def test_partition_invariants_one_svd_call(monkeypatch, max_power):
     calls = helpers.count_svd_calls(monkeypatch)
@@ -488,12 +484,12 @@ def test_rank_rule_vectorised_matches_rowwise():
     sigma[2] = 0.0
     sigma[3] = [1e-20, 1e-21, 0.0, 0.0]
     floors = np.array([1e-12, 1e-12, 1e-12, 1e-12, 2.0])
-    got = _rank(sigma, DEFAULT_RANK_TOL, floors)
+    got = _rank(sigma, floors)
     assert got.tolist() == [4, 2, 0, 0, 0]
     for row, floor, rank in zip(sigma, floors, got):
-        assert int(_rank(row, DEFAULT_RANK_TOL, floor)) == rank
+        assert int(_rank(row, floor)) == rank
     # one spectrum gives one scalar rank
-    rank = _rank(singular_values(np.eye(3)), DEFAULT_RANK_TOL, NOISE_FLOOR)
+    rank = _rank(singular_values(np.eye(3)), NOISE_FLOOR)
     assert rank.shape == () and rank == 3
 
 
@@ -508,6 +504,22 @@ def test_rank_profile_at_any_scale(name, scale):
     seed = helpers.class_seeds()[name]
     scaled = PureState(3, scale * seed.amplitudes)
     assert rank_profile(scaled, P12_3, 3).ranks == rank_profile(seed, P12_3, 3).ranks
+
+
+@given(
+    n=st.integers(4, 7),
+    kind=st.sampled_from(["random", "ghz", "w"]),
+    seed=st.integers(0, 2**32 - 1),
+    mantissa=st.floats(1.0, 10.0, exclude_max=True),
+    k=st.integers(-150, 150),
+)
+def test_rank_profile_scale_sweep(n, kind, seed, mantissa, k):
+    # on a random partition, ranks read at mantissa * 10^k match unit norm
+    rng = np.random.default_rng(seed)
+    state = random_state(n, seed) if kind == "random" else standard_state(kind, n)
+    part = helpers.random_partition(rng, n)
+    scaled = PureState(n, mantissa * 10.0**k * state.amplitudes)
+    assert rank_profile(scaled, part, 3).ranks == rank_profile(state, part, 3).ranks
 
 
 def test_peak_scaled_is_exact_and_handles_subnormal_peaks():

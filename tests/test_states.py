@@ -33,6 +33,17 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 EYE2 = np.eye(2)
 
 
+@pytest.mark.parametrize("make", [
+    lambda seed: random_state(3, seed),
+    lambda seed: random_local(3, "unitary", seed),
+    lambda seed: random_local(3, "invertible", seed),
+], ids=["state", "unitary", "invertible"])
+def test_random_generators_reject_negative_seeds(make):
+    make(0)
+    with pytest.raises(ValidationError, match="seed"):
+        make(-1)
+
+
 def test_parity_signs_table():
     for bits in range(15):
         table = parity_signs(bits)
@@ -196,6 +207,23 @@ def test_pure_state_is_immutable():
     state = standard_state("bell")
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
+
+
+def test_pure_state_copies_the_callers_array():
+    amps = np.zeros(4, complex)
+    amps[0] = 1
+    state = PureState(2, amps)
+    amps[1] = 2
+    assert state.amplitudes.tolist() == [1, 0, 0, 0]
+    assert not state.amplitudes.flags.writeable
+
+
+def test_local_operator_copies_the_callers_factors():
+    factor = HADAMARD.astype(complex)
+    op = LocalOperator((factor, EYE2))
+    factor[0, 0] = 0.0
+    assert np.array_equal(op.factors[0], HADAMARD)
+    assert not op.factors[0].flags.writeable
 
 
 def test_apply_local_identity_is_exact():
