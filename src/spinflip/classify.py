@@ -213,8 +213,10 @@ def lu_compare(
     n-tangle and delta), then per partition and power the sorted
     singular-value lists and their product, |det|. The first difference
     beyond tol is the witness; agreement everywhere is merely
-    not-distinguished.
+    not-distinguished. tol must be finite and >= 0.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"compare tolerance must be finite and >= 0, got {tol}")
     if a.n != b.n:
         raise ValidationError(f"states have different sizes: {a.n} vs {b.n}")
     _require_normalized(a, "lu_compare")

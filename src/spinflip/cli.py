@@ -238,6 +238,8 @@ def _cmd_apply(args) -> str:
 
 
 def _cmd_verify_congruence(args) -> dict:
+    if not (np.isfinite(args.residual_tol) and args.residual_tol > 0):
+        raise ValidationError(f"--residual-tol must be finite and > 0, got {args.residual_tol}")
     state = _read(args.state, parse_state, "state")
     op = _read(args.operator, parse_operator, "operator")
     partition = _parse_rows(args.rows, state.n)

@@ -8,7 +8,10 @@ as an independent cross-check route and for the general invariant profile.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +19,7 @@ import numpy as np
 from .coeffmat import QubitPartition
 from .errors import ToleranceInconsistency, ValidationError
 from .flip import _omega_powers
-from .states import PureState, _norm, _peak_scaled, parity_signs
+from .states import MAX_QUBITS, PureState, _norm, _peak_scaled, parity_signs
 
 # the one rank threshold: a singular value counts toward the rank when it
 # exceeds this fraction of its spectrum's top value
@@ -35,13 +38,95 @@ def default_rows(n: int) -> tuple[int, ...]:
     return (1, 2) if n >= 3 else (1,)
 
 
+# the widest matrix a balanced or narrower partition produces. Up to this
+# width OpenBLAS's threaded zgemv in the bidiagonalization spends more on
+# synchronisation than a second thread gives back; wider, threads win.
+_SERIAL_SVD_WIDTH = 2 ** (MAX_QUBITS // 2)
+
+# OpenBLAS threads no part of the SVD of a matrix with at most 64 x 64
+# entries (0.3.31: spectra on 1 and 2 threads agree bit for bit up to 64 x 64
+# and differ from 72 x 72), so there the scope would only add its few
+# microseconds per call, a tenth of a three-qubit classification
+_SERIAL_SVD_MIN_ENTRIES = 64 * 64
+
+# (prefix, suffix) of the thread-count symbols an OpenBLAS build exports
+_OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None
+    when none is found (MKL, Accelerate, or no /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip()
+                            for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_SYMBOLS:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+class _SerialBlas:
+    """Runs the enclosed block with OpenBLAS on one thread.
+
+    The thread count is process-wide, so this scope is one object per
+    process: the first caller in saves the count and sets 1, the last
+    caller out restores it. Concurrent callers neither wait on each other
+    nor leave the process at one thread; BLAS calls that other threads make
+    meanwhile also run on one thread. Without an OpenBLAS the block runs
+    unchanged.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._saved = None
+
+    def __enter__(self):
+        with self._lock:
+            threads = _openblas_threads()
+            if threads is not None and self._inside == 0:
+                get, put = threads
+                self._saved = get()
+                put(1)
+            self._inside += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._inside -= 1
+            threads = _openblas_threads()
+            if threads is not None and self._inside == 0:
+                threads[1](self._saved)
+
+
+_SERIAL_BLAS = _SerialBlas()
+
+
 def singular_values(m) -> np.ndarray:
     """Singular values of a complex matrix, or of each matrix in a stack,
-    descending along the last axis."""
+    descending along the last axis. Matrices up to 2^(MAX_QUBITS // 2)
+    wide are decomposed on one BLAS thread, so their spectra do not depend
+    on the host's core count."""
     mat = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(mat)):
         raise ValidationError("matrix has non-finite entries")
-    return np.linalg.svd(mat, compute_uv=False)
+    shape = mat.shape[-2:]
+    if math.prod(shape) <= _SERIAL_SVD_MIN_ENTRIES or min(shape) > _SERIAL_SVD_WIDTH:
+        return np.linalg.svd(mat, compute_uv=False)
+    with _SERIAL_BLAS:
+        return np.linalg.svd(mat, compute_uv=False)
 
 
 def _rank(sigma: np.ndarray, floor) -> np.ndarray:

@@ -324,6 +324,18 @@ def test_lu_compare_validation():
         lu_compare(standard_state("bell"), lopsided)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_lu_compare_rejects_bad_tolerance(tol):
+    # NaN would call any two states not-distinguished, a negative threshold
+    # a state inequivalent to itself
+    a, b = random_state(4, 1), random_state(4, 2)
+    with pytest.raises(ValidationError, match="compare tolerance"):
+        lu_compare(a, b, tol=tol)
+    with pytest.raises(ValidationError, match="compare tolerance"):
+        lu_compare(a, a, tol=tol)
+    assert lu_compare(a, a, tol=0.0).relation == "not-distinguished"
+
+
 def test_slocc_compare_ghz_w():
     verdict = slocc_compare(standard_state("ghz", 3), standard_state("w", 3))
     assert verdict.relation == "inequivalent"

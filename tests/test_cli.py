@@ -507,6 +507,26 @@ def test_exit_codes_for_bad_input(states, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert "seed" in err and "Traceback" not in err
 
+    # a NaN threshold passes every difference and a negative one none; both
+    # exit 2 with no report, so no bare NaN token reaches stdout
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path, seed in ((a, "1"), (b, "2")):
+        assert run(["gen", "--random", "--n", "4", "--seed", seed, "-o", str(path)], capsys)[0] == 0
+    for tol in ("nan", "inf", "-1"):
+        code, out, err = run(["compare-lu", str(a), str(b), "--compare-tol", tol], capsys)
+        assert (code, out) == (2, "")
+        assert "compare tolerance" in err
+    assert run(["compare-lu", str(a), str(a), "--compare-tol", "-1"], capsys)[0] == 2
+
+    op_path = tmp_path / "u.json"
+    op_path.write_text(serialize_operator(random_local(3, "unitary", 11)))
+    for tol in ("nan", "inf", "0", "-1"):
+        code, out, err = run(
+            ["verify-congruence", states["ghz3"], str(op_path), "--residual-tol", tol], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "--residual-tol" in err
+
 
 def test_report_determinism(states, tmp_path, capsys):
     argv = ["invariants", states["ghz3"], "--max-power", "3"]

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,9 +32,12 @@ from spinflip import (
     standard_state,
     three_qubit_S,
 )
+from spinflip.flip import _omega_powers
 from spinflip.invariants import (
     NOISE_FLOOR,
     RANK_TOL,
+    _SERIAL_BLAS,
+    _openblas_threads,
     _partition_invariants,
     _peak_scaled,
     _rank,
@@ -74,6 +79,116 @@ def test_singular_values_match_eigh_oracle():
 def test_singular_values_rejects_nonfinite():
     with pytest.raises(ValidationError):
         singular_values(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count, which starts at 2
+    and is put back to the caller's count afterwards."""
+    threads = _openblas_threads()
+    if threads is None:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+        # a Linux numpy built on OpenBLAS must be found, or the scope is dead code
+        assert not ("openblas" in blas and sys.platform.startswith("linux")), blas
+        pytest.skip(f"numpy's BLAS ({blas}) is not an OpenBLAS found at run time")
+    get, put = threads
+    before = get()
+    put(2)
+    assert get() == 2
+    yield get, put
+    put(before)
+
+
+def _complex_stack(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.fixture
+def svd_spy(monkeypatch, blas_threads):
+    """Records the OpenBLAS thread count each np.linalg.svd call runs on."""
+    get, _ = blas_threads
+    real_svd, seen = np.linalg.svd, []
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
+
+
+def test_serial_scope_above_64x64_entries_up_to_128_wide(svd_spy, blas_threads):
+    get, _ = blas_threads
+    shapes = ((3, 128, 128), (1, 128, 256), (1, 65, 64), (1, 256, 256), (1, 256, 129),
+              (2, 64, 64), (5, 2, 8))
+    for shape in shapes:
+        singular_values(_complex_stack(shape))
+        assert get() == 2
+    assert svd_spy == [1, 1, 1, 2, 2, 2, 2]
+
+
+def test_serial_scope_restores_after_an_exception(monkeypatch, blas_threads):
+    get, _ = blas_threads
+
+    def broken_svd(*args, **kwargs):
+        assert get() == 1
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", broken_svd)
+    with pytest.raises(np.linalg.LinAlgError):
+        singular_values(_complex_stack((3, 128, 128)))
+    assert get() == 2
+    assert _SERIAL_BLAS._inside == 0
+
+
+def test_serial_scope_restores_after_concurrent_calls(svd_spy, blas_threads):
+    get, _ = blas_threads
+    stacks = [_complex_stack((3, 72, 72), 1), _complex_stack((2, 65, 80), 2)]
+    want = [singular_values(m) for m in stacks]
+    svd_spy.clear()
+    barrier, errors = threading.Barrier(4), []
+
+    def worker(k):
+        try:
+            barrier.wait(timeout=30)
+            for i in range(50):
+                got = singular_values(stacks[(i + k) % 2])
+                assert np.array_equal(got, want[(i + k) % 2])
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    assert svd_spy == [1] * 200
+    assert get() == 2
+    assert _SERIAL_BLAS._inside == 0
+
+
+@pytest.mark.parametrize("n, rows, width", [(14, 7, 128), (12, 6, 64), (3, 2, 4)])
+def test_spectra_up_to_128_wide_do_not_depend_on_the_thread_count(blas_threads, n, rows, width):
+    # threaded OpenBLAS sums in another order: at n = 14 the two counts gave
+    # spectra up to 5e-15 sigma_1 apart; at most 64 x 64 it never threads
+    _, put = blas_threads
+    part = QubitPartition(tuple(range(1, rows + 1)), n)
+    for seed in range(3):
+        stack = _omega_powers(random_state(n, seed), part, 3)
+        assert stack.shape == (3, width, width)
+        spectra = []
+        for count in (1, 2):
+            put(count)
+            spectra.append(singular_values(stack))
+        assert np.array_equal(spectra[0], spectra[1])
 
 
 # The rank rule on one matrix m: _rank over its spectrum, with the noise
