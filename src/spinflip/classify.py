@@ -211,9 +211,9 @@ def lu_compare(
 
     Checks, in order: the parity-appropriate closed form (concurrence, or
     n-tangle and delta), then per partition and power the sorted
-    singular-value lists and their product, |det|. The first difference
-    beyond tol is the witness; agreement everywhere is merely
-    not-distinguished. tol must be finite and >= 0.
+    singular-value lists. The first difference beyond tol is the witness;
+    agreement everywhere is merely not-distinguished. tol must be finite
+    and >= 0.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValidationError(f"compare tolerance must be finite and >= 0, got {tol}")
@@ -242,7 +242,6 @@ def lu_compare(
     for partition in partitions:
         spectra_a = singular_values(_omega_powers(a, partition, max_power))
         spectra_b = singular_values(_omega_powers(b, partition, max_power))
-        dets_a, dets_b = np.prod(spectra_a, axis=-1), np.prod(spectra_b, axis=-1)
         for idx in range(max_power):
             # spectra descend, so reversing a row sorts it ascending
             sa, sb = spectra_a[idx, ::-1], spectra_b[idx, ::-1]
@@ -258,12 +257,6 @@ def lu_compare(
                         rows=partition.rows,
                         power=idx + 1,
                     ),
-                )
-            da, db = float(dets_a[idx]), float(dets_b[idx])
-            if abs(da - db) > tol:
-                return CompareVerdict(
-                    "inequivalent",
-                    Witness("abs-det", da, db, rows=partition.rows, power=idx + 1),
                 )
     return CompareVerdict("not-distinguished")
 

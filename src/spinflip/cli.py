@@ -131,8 +131,8 @@ def _cmd_invariants(args) -> dict:
         part = profile.partitions[0]
         rp = part.rank_profile
     else:
-        # ranks are facts about the ray; singular values and |det| scale as
-        # |c|^(2l) and the closed forms need unit norm, so they are omitted
+        # ranks are facts about the ray; singular values scale as |c|^(2l)
+        # and the closed forms need unit norm, so they are omitted
         profile = None
         rp = rank_profile(state, partition, args.max_power)
     report["ranks"] = list(rp.ranks)
@@ -141,8 +141,8 @@ def _cmd_invariants(args) -> dict:
     if profile is None:
         return report
     block["powers"] = [
-        {"power": ell, "singular_values": sigma, "abs_det": det}
-        for ell, (sigma, det) in enumerate(zip(part.singular_values, part.abs_dets), 1)
+        {"power": ell, "singular_values": sigma}
+        for ell, sigma in enumerate(part.singular_values, 1)
     ]
     if profile.concurrence is not None:
         report["concurrence"] = profile.concurrence
@@ -276,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("invariants", help="ranks, singular values, |det|, closed forms")
+    p = sub.add_parser("invariants", help="ranks, singular values per power, closed forms")
     p.add_argument("state", help="state JSON file")
     _add_common(p, rows=True, power=True)
     p.set_defaults(func=_cmd_invariants)

@@ -1,4 +1,4 @@
-"""Ranks, singular values, determinants, and closed-form invariants.
+"""Ranks, singular values, and closed-form invariants.
 
 The closed forms (concurrence for even n, the e11/e12/e22 family for odd n,
 and the three-qubit S) are computed straight from the amplitudes with
@@ -188,11 +188,16 @@ class OddInvariants:
 
 @dataclass(frozen=True)
 class PartitionInvariants:
-    """Everything computed for one partition: ranks, singular values, |det|."""
+    """Everything computed for one partition: ranks and singular values."""
 
     rank_profile: RankProfile
     singular_values: tuple[np.ndarray, ...] = field(repr=False)
-    abs_dets: tuple[float, ...]
+
+    @property
+    def abs_dets(self) -> tuple[float, ...]:
+        """|det| per power, the product of its singular values. Only
+        benchmarks/stages.py reads it; it goes when that stops doing so."""
+        return tuple(float(np.prod(sigma)) for sigma in self.singular_values)
 
 
 @dataclass(frozen=True)
@@ -228,11 +233,8 @@ def _partition_invariants(
     scale1 = float(sigmas[0, 0])
     floors = [NOISE_FLOOR * base * scale1**ell for ell in range(max_power)]
     ranks = _rank(sigmas, np.array(floors))
-    # |det| is the product of the singular values, so it comes from the
-    # same SVD as the ranks
-    dets = tuple(np.prod(sigmas, axis=-1).tolist())
     profile = RankProfile(partition, tuple(ranks.tolist()))
-    return PartitionInvariants(profile, tuple(sigmas), dets)
+    return PartitionInvariants(profile, tuple(sigmas))
 
 
 def rank_profile(
@@ -310,7 +312,7 @@ def invariant_profile(
     partitions: list[QubitPartition] | None = None,
     max_power: int = 3,
 ) -> InvariantProfile:
-    """Full profile: per-partition ranks, singular values, |det| per power,
+    """Full profile: per-partition ranks and singular values per power,
     plus the parity-appropriate closed forms."""
     if partitions is None:
         partitions = [QubitPartition(default_rows(state.n), state.n)]

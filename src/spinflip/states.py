@@ -215,8 +215,8 @@ def standard_state(name: str, n: int | None = None) -> PureState:
             raise ValidationError(f"{name} requires 2 <= n <= {MAX_QUBITS}")
         return PureState(n, _ghz(n) if name == "ghz" else _w(n))
     if name == "zeros":
-        if n is None:
-            raise ValidationError("zeros requires n")
+        if n is None or not 1 <= n <= MAX_QUBITS:
+            raise ValidationError(f"zeros requires 1 <= n <= {MAX_QUBITS}")
         amps = np.zeros(2**n, dtype=complex)
         amps[0] = 1.0
         return PureState(n, amps)
@@ -344,7 +344,7 @@ def parse_state(text: str) -> PureState:
     if not isinstance(doc, dict) or "n" not in doc or "amplitudes" not in doc:
         raise ValidationError('state file must be {"n": ..., "amplitudes": ...}')
     n = doc["n"]
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ValidationError(f"n must be an integer, got {n!r}")
     if not 1 <= n <= MAX_QUBITS:
         raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {n}")

@@ -115,6 +115,8 @@ def test_gen_source_validation(capsys):
     assert run(["gen"], capsys)[0] == 2
     assert run(["gen", "--state", "ghz"], capsys)[0] == 2
     assert run(["gen", "--state", "w"], capsys)[0] == 2
+    for n in ("64", "-1"):
+        assert run(["gen", "--state", "zeros", "--n", n], capsys)[:2] == (2, "")
     assert run(["gen", "--random"], capsys)[0] == 2
     assert run(["gen", "--acin", "0.5,0.5"], capsys)[0] == 2
     assert run(["gen", "--acin", "a,b,c,d,e"], capsys)[0] == 2
@@ -150,7 +152,20 @@ def test_invariants_report_ghz3(states, capsys):
     assert powers[2]["singular_values"] == pytest.approx(
         [0.125, 0.125, 0, 0], abs=1e-15
     )
-    assert powers[0]["abs_det"] == pytest.approx(0.0, abs=1e-15)
+    # |det| is the product of the printed spectrum, so no power prints it
+    assert all("abs_det" not in power for power in powers)
+
+
+def test_invariants_report_n14_prints_no_underflowed_det(tmp_path, capsys):
+    # the spectrum's product underflows to 0 here while every rank is full;
+    # the report prints the spectrum, whose log sum is log|det|
+    path = tmp_path / "r14.json"
+    assert run(["gen", "--random", "--n", "14", "--seed", "5", "-o", str(path)], capsys)[0] == 0
+    report = run_report(["invariants", str(path), "--rows", "1,2,3,4,5,6,7"], capsys)
+    assert report["ranks"] == [128, 128, 128]
+    for power in report["partitions"][0]["powers"]:
+        assert "abs_det" not in power
+        assert min(power["singular_values"]) > 0
 
 
 def test_invariants_report_even_n(states, capsys):
@@ -573,6 +588,19 @@ def test_report_config_is_closed():
     report = json.loads((GOLDEN_DIR / "classify_w.json").read_text())
     assert "seed" not in report["config"]
     report["config"]["seed"] = None
+    assert not _VALIDATOR.is_valid(report)
+
+
+def test_report_power_blocks_are_closed():
+    # partition and power blocks list the keys commands emit; a stale
+    # abs_det in either fails
+    report = json.loads((GOLDEN_DIR / "invariants_ghz3.json").read_text())
+    assert _VALIDATOR.is_valid(report)
+    power = report["partitions"][0]["powers"][0]
+    power["abs_det"] = 0
+    assert not _VALIDATOR.is_valid(report)
+    del power["abs_det"]
+    report["partitions"][0]["abs_det"] = 0
     assert not _VALIDATOR.is_valid(report)
 
 

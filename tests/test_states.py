@@ -392,6 +392,10 @@ def test_parse_state_errors():
         parse_state('{"n": 2, "amplitudes": [[1, 0], [0, 0]]}')
     with pytest.raises(ValidationError):
         parse_state('{"n": 1.5, "amplitudes": [[1, 0], [0, 0]]}')
+    # bool subclasses int, so a bare isinstance check would read true as n = 1
+    for flag in ("true", "false"):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            parse_state(f'{{"n": {flag}, "amplitudes": [[1, 0], [0, 0]]}}')
     with pytest.raises(ValidationError):
         parse_state('{"n": 0, "amplitudes": [[1, 0]]}')
     with pytest.raises(ValidationError):
