@@ -26,7 +26,7 @@ from .states import LocalOperator, PureState, apply_local, parity_signs
 SYMMETRY_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OmegaMatrix:
     partition: QubitPartition
     power: int

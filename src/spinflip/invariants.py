@@ -186,7 +186,7 @@ class OddInvariants:
             raise ValidationError("t1*t2 does not match ntangle")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionInvariants:
     """Everything computed for one partition: ranks and singular values."""
 
@@ -200,7 +200,7 @@ class PartitionInvariants:
         return tuple(float(np.prod(sigma)) for sigma in self.singular_values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvariantProfile:
     n: int
     partitions: tuple[PartitionInvariants, ...]

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import chain
 
 import numpy as np
 
@@ -46,13 +47,13 @@ def _norm(amps: np.ndarray) -> float:
     return peak * math.sqrt(float(mags @ mags))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Immutable pure state of n qubits.
 
     `normalized` is measured, not passed: it says whether sum |a_i|^2 lies
     within NORM_ATOL of 1. Every generator in this module produces
-    normalized states; nothing is silently renormalized.
+    normalized states; nothing is silently renormalized. == is identity.
     """
 
     n: int
@@ -95,43 +96,45 @@ def _peak_scaled(state: PureState) -> PureState:
     return PureState(state.n, scaled)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalOperator:
     """Tensor product of n single-qubit 2x2 operators, factor k acting on qubit k+1.
 
-    kind "unitary" requires each factor to satisfy U^dagger U = I; kind
-    "invertible" only requires nonzero determinant. The full 2^n x 2^n matrix
-    is never materialized.
+    `factors` is one read-only (n, 2, 2) complex array. kind "unitary"
+    requires U^dagger U = I of each factor, kind "invertible" only a nonzero
+    determinant. The full 2^n x 2^n matrix is never materialized.
     """
 
-    factors: tuple[np.ndarray, ...]
+    factors: np.ndarray
     kind: str = "unitary"
 
     def __post_init__(self):
         if self.kind not in ("unitary", "invertible"):
             raise ValidationError(f"unknown operator kind {self.kind!r}")
-        checked = []
-        for k, factor in enumerate(self.factors):
-            mat = np.array(factor, dtype=complex)  # copied: the caller's array stays writable
-            if mat.shape != (2, 2):
-                raise ValidationError(
-                    f"factor {k} must be 2x2, got shape {mat.shape}"
-                )
-            if self.kind == "unitary":
-                defect = np.max(np.abs(mat.conj().T @ mat - np.eye(2)))
-                if defect >= UNITARY_ATOL:
-                    raise ValidationError(
-                        f"factor {k} is not unitary: ||U^H U - I||_max = {defect:.3e}"
-                    )
-            else:
-                det = abs(np.linalg.det(mat))
-                if det <= INVERTIBLE_MIN_DET:
-                    raise ValidationError(
-                        f"factor {k} is numerically singular: |det| = {det:.3e}"
-                    )
-            mat.setflags(write=False)
-            checked.append(mat)
-        object.__setattr__(self, "factors", tuple(checked))
+        if not 1 <= len(self.factors) <= MAX_QUBITS:
+            raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {len(self.factors)}")
+        try:
+            mats = np.array(self.factors, dtype=complex)  # copied: callers' arrays stay writable
+        except ValueError:  # ragged, or not numbers
+            mats = np.empty(0)
+        if mats.shape[1:] != (2, 2):
+            # only on failure: name the first factor that is not 2x2
+            for k, factor in enumerate(self.factors):
+                if np.shape(factor) != (2, 2):
+                    raise ValidationError(f"factor {k} must be 2x2, got shape {np.shape(factor)}")
+            raise ValidationError("factors must be numeric 2x2 matrices")
+        if self.kind == "unitary":
+            gram = mats.conj().swapaxes(1, 2) @ mats
+            values = np.max(np.abs(gram - np.eye(2)), axis=(1, 2))
+            bad, what = values >= UNITARY_ATOL, "is not unitary: ||U^H U - I||_max"
+        else:
+            values = np.abs(np.linalg.det(mats))
+            bad, what = values <= INVERTIBLE_MIN_DET, "is numerically singular: |det|"
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(f"factor {k} {what} = {values[k]:.3e}")
+        mats.setflags(write=False)
+        object.__setattr__(self, "factors", mats)
 
     @property
     def n(self) -> int:
@@ -139,7 +142,7 @@ class LocalOperator:
 
     def determinants(self) -> np.ndarray:
         """Determinant of each factor, in qubit order."""
-        return np.array([np.linalg.det(f) for f in self.factors])
+        return np.linalg.det(self.factors)
 
 
 @dataclass(frozen=True)
@@ -246,20 +249,16 @@ def standard_state(name: str, n: int | None = None) -> PureState:
 
 
 def apply_local(state: PureState, op: LocalOperator) -> PureState:
-    """Apply a tensor product of single-qubit operators to a state.
-
-    Works on the reshaped amplitude tensor one axis at a time; never builds
-    the 2^n x 2^n matrix. The result measures its own norm: unitary kinds
-    keep it up to rounding, invertible operators change it.
-    """
+    """Apply a tensor product of single-qubit operators to a state, one
+    (2, 2) @ (2, 2^(n-1)) product per qubit. The result measures its own
+    norm: unitary kinds keep it up to rounding, invertible ones change it."""
     if op.n != state.n:
-        raise ValidationError(
-            f"operator acts on {op.n} qubits but state has {state.n}"
-        )
-    psi = state.amplitudes.reshape([2] * state.n)
-    for axis, factor in enumerate(op.factors):
-        psi = np.tensordot(factor, psi, axes=(1, axis))
-        psi = np.moveaxis(psi, 0, axis)
+        raise ValidationError(f"operator acts on {op.n} qubits but state has {state.n}")
+    psi = state.amplitudes
+    for k, factor in enumerate(op.factors):
+        # qubit k+1's axis first, then the rest in order, as np.tensordot does
+        out = factor @ psi.reshape(2**k, 2, -1).swapaxes(0, 1).reshape(2, -1)
+        psi = out.reshape(2, 2**k, -1).swapaxes(0, 1)
     return PureState(state.n, psi.reshape(-1))
 
 
@@ -278,11 +277,10 @@ def _rng(seed: int | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _haar_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def _complex_normals(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count 2x2 complex Gaussians, each drawn real block first."""
+    draw = rng.standard_normal((count, 2, 2, 2))
+    return draw[:, 0] + 1j * draw[:, 1]
 
 
 # Rejection bounds for random invertible factors keep congruence-residual
@@ -292,31 +290,31 @@ _INVERTIBLE_DET_MIN = 1e-3
 _INVERTIBLE_MAX_TRIES = 1000
 
 
-def _random_invertible_2x2(rng: np.random.Generator) -> np.ndarray:
-    for _ in range(_INVERTIBLE_MAX_TRIES):
-        mat = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        if abs(np.linalg.det(mat)) < _INVERTIBLE_DET_MIN:
-            continue
-        if np.linalg.cond(mat) > _INVERTIBLE_COND_MAX:
-            continue
-        return mat
-    raise RuntimeError("failed to sample a well-conditioned invertible factor")
-
-
 def random_local(n: int, kind: str = "unitary", seed: int | None = None) -> LocalOperator:
-    """Random local operator: Haar unitaries or well-conditioned invertibles."""
+    """Random local operator: Haar unitaries, or as invertibles the first n
+    Gaussian candidates, in draw order, within both conditioning bounds."""
     if kind not in ("unitary", "invertible"):
         raise ValidationError(f"unknown operator kind {kind!r}")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {n}")
     rng = _rng(seed)
     if kind == "unitary":
-        factors = [_haar_unitary_2x2(rng) for _ in range(n)]
-    else:
-        factors = [_random_invertible_2x2(rng) for _ in range(n)]
-    return LocalOperator(tuple(factors), kind=kind)
+        q, r = np.linalg.qr(_complex_normals(rng, n) / math.sqrt(2))
+        d = np.diagonal(r, axis1=1, axis2=2)
+        return LocalOperator(q * (d / np.abs(d))[:, None, :], kind=kind)
+    found = np.empty((0, 2, 2), dtype=complex)
+    for _ in range(_INVERTIBLE_MAX_TRIES):
+        cand = _complex_normals(rng, n)
+        keep = np.abs(np.linalg.det(cand)) >= _INVERTIBLE_DET_MIN
+        keep &= np.linalg.cond(cand) <= _INVERTIBLE_COND_MAX
+        found = np.concatenate((found, cand[keep]))
+        if len(found) >= n:
+            return LocalOperator(found[:n], kind=kind)
+    raise RuntimeError("failed to sample well-conditioned invertible factors")
 
 
-def _pairs_to_complex(pairs, what: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Complex array of the given shape from nested [re, im] pairs."""
+def _pairs_to_complex(pairs, what: str, shape: tuple[int, ...], text: str) -> np.ndarray:
+    """Complex array of the given shape from nested [re, im] pairs parsed from text."""
     try:
         arr = np.asarray(pairs, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -327,6 +325,11 @@ def _pairs_to_complex(pairs, what: str, shape: tuple[int, ...]) -> np.ndarray:
         )
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contain non-finite numbers")
+    # JSON true/false read as 1.0/0.0; entry types are read only if both occur
+    if ((arr == 0.0) | (arr == 1.0)).any() and ("true" in text or "false" in text):
+        entries = reduce(lambda items, _: chain.from_iterable(items), shape, pairs)
+        if bool in set(map(type, entries)):
+            raise ValidationError(f"{what} must be numbers, not true or false")
     # a view, not re + 1j * im, which turns -0.0 into 0.0
     return arr.view(complex)[..., 0]
 
@@ -348,7 +351,7 @@ def parse_state(text: str) -> PureState:
         raise ValidationError(f"n must be an integer, got {n!r}")
     if not 1 <= n <= MAX_QUBITS:
         raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {n}")
-    amps = _pairs_to_complex(doc["amplitudes"], "amplitudes", (2**n,))
+    amps = _pairs_to_complex(doc["amplitudes"], "amplitudes", (2**n,), text)
     if not np.any(amps):
         raise ValidationError("amplitudes are all zero; a state needs a nonzero norm")
     return PureState(n, amps)
@@ -371,15 +374,12 @@ def parse_operator(text: str) -> LocalOperator:
         raise ValidationError('operator file must be {"kind": ..., "factors": ...}')
     if not isinstance(doc["factors"], list):
         raise ValidationError("factors must be a list of 2x2 matrices")
-    factors = tuple(
-        _pairs_to_complex(raw, f"factor {k}", (2, 2))
-        for k, raw in enumerate(doc["factors"])
-    )
+    factors = _pairs_to_complex(doc["factors"], "factors", (len(doc["factors"]), 2, 2), text)
     return LocalOperator(factors, kind=doc["kind"])
 
 
 def serialize_operator(op: LocalOperator) -> str:
     """Serialize to the one-line JSON operator-file format, floats as in
     serialize_state."""
-    doc = {"kind": op.kind, "factors": _complex_to_pairs(np.array(op.factors))}
+    doc = {"kind": op.kind, "factors": _complex_to_pairs(op.factors)}
     return json.dumps(doc) + "\n"

@@ -7,6 +7,11 @@ dense matrices, singular values through the Hermitian eigenproblem of
 m^H m, and local operators as the full 2^n x 2^n Kronecker matrix.
 Unit tests freeze values computed by these routes as literals.
 
+The stream oracles are the exception: they keep the per-factor samplers
+and the tensordot application that random_local and apply_local replaced,
+and the package must reproduce them bit for bit, so that seeded orbit
+points stay what they were.
+
 A note on the power-2 singular values of the W1/W2 pair: the literal
 recursion gives a single nonzero singular value (sigma^2 = 1/64 for W1,
 3/256 for W2), consistent with both states' power-2 rank of 1, and
@@ -21,9 +26,12 @@ definition; the literal recursion is authoritative here.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
+
+from spinflip import states
 
 V = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -104,3 +112,38 @@ def oracle_local_matrix_rank(amps, n: int, qubit: int, tol: float = 1e-10) -> in
     if sigma[0] == 0.0:
         return 0
     return int(np.sum(sigma > tol * sigma[0]))
+
+
+def _stream_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
+    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _stream_invertible_2x2(rng: np.random.Generator) -> np.ndarray:
+    # the bounds are read at call time, so a test can tighten them
+    for _ in range(states._INVERTIBLE_MAX_TRIES):
+        mat = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        if abs(np.linalg.det(mat)) < states._INVERTIBLE_DET_MIN:
+            continue
+        if np.linalg.cond(mat) > states._INVERTIBLE_COND_MAX:
+            continue
+        return mat
+    raise RuntimeError("failed to sample a well-conditioned invertible factor")
+
+
+def stream_random_local(n: int, kind: str, seed: int) -> np.ndarray:
+    """random_local's factors drawn one 2x2 at a time, as an (n, 2, 2) array."""
+    rng = np.random.default_rng(seed)
+    draw = _stream_unitary_2x2 if kind == "unitary" else _stream_invertible_2x2
+    return np.array([draw(rng) for _ in range(n)])
+
+
+def stream_apply_local(amps, factors) -> np.ndarray:
+    """apply_local by one tensordot and one moveaxis per qubit."""
+    psi = np.asarray(amps, dtype=complex).reshape([2] * len(factors))
+    for axis, factor in enumerate(factors):
+        psi = np.tensordot(factor, psi, axes=(1, axis))
+        psi = np.moveaxis(psi, 0, axis)
+    return psi.reshape(-1)

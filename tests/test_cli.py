@@ -487,6 +487,23 @@ def test_verify_congruence_power_zero_exits_2(states, tmp_path, capsys):
     assert "power must be >= 1, got 0" in err
 
 
+def test_boolean_and_empty_inputs_exit_2(states, tmp_path, capsys):
+    # JSON true/false once read as 1.0/0.0: this file parsed as |0>, and an
+    # operator of booleans as the identity, which apply wrote out with exit 0
+    flags = tmp_path / "flags.json"
+    flags.write_text('{"n": 1, "amplitudes": [[true, 0], [false, 0]]}')
+    code, out, err = run(["invariants", str(flags)], capsys)
+    assert (code, out) == (2, "") and "true or false" in err
+    one, zero = "[true, false]", "[false, false]"
+    eye = f"[[{one}, {zero}], [{zero}, {one}]]"
+    for name, factors in (("bool-op", f"[{eye}, {eye}, {eye}]"), ("empty-op", "[]")):
+        op_path = tmp_path / f"{name}.json"
+        op_path.write_text(f'{{"kind": "unitary", "factors": {factors}}}')
+        code, out, err = run(["apply", states["ghz3"], str(op_path)], capsys)
+        assert (code, out) == (2, ""), name
+        assert "Traceback" not in err
+
+
 def test_exit_codes_for_bad_input(states, tmp_path, capsys):
     assert run(["invariants", str(tmp_path / "missing.json")], capsys)[0] == 2
 

@@ -8,6 +8,7 @@ import pytest
 
 from spinflip import (
     AcinForm,
+    InvariantProfile,
     LocalOperator,
     PureState,
     ValidationError,
@@ -20,7 +21,12 @@ from spinflip import (
     serialize_operator,
     serialize_state,
     standard_state,
+    invariant_profile,
+    omega,
 )
+from spinflip import states as states_module
+from spinflip.coeffmat import QubitPartition
+from spinflip.invariants import PartitionInvariants
 from spinflip.states import parity_signs
 
 import oracles
@@ -460,3 +466,139 @@ def test_index_convention_round_trip():
         for b in bits:
             rebuilt = (rebuilt << 1) | b
         assert rebuilt == i
+
+
+# --- local operators as one (n, 2, 2) stack -------------------------------
+
+KINDS = ("unitary", "invertible")
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+@pytest.mark.parametrize("kind", KINDS)
+def test_random_local_matches_the_stream_oracle(kind, n):
+    # seeded orbit points stay what the per-factor samplers drew
+    for seed in range(20):
+        factors = random_local(n, kind, seed).factors
+        assert np.array_equal(factors, oracles.stream_random_local(n, kind, seed))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+@pytest.mark.parametrize("kind", KINDS)
+def test_apply_local_matches_the_stream_oracle(kind, n):
+    for seed in range(20):
+        state = random_state(n, seed)
+        factors = oracles.stream_random_local(n, kind, seed)
+        out = apply_local(state, LocalOperator(factors, kind))
+        assert np.array_equal(out.amplitudes, oracles.stream_apply_local(state.amplitudes, factors))
+
+
+def test_invertible_rejection_keeps_the_draw_order(monkeypatch):
+    # bounds this tight reject most candidates, so blocks of draws are
+    # needed and the accepted ones must come out in draw order
+    monkeypatch.setattr(states_module, "_INVERTIBLE_COND_MAX", 2.0)
+    monkeypatch.setattr(states_module, "_INVERTIBLE_DET_MIN", 0.5)
+    draws = []
+    normals = states_module._complex_normals
+
+    def counted(rng, count):
+        draws.append(count)
+        return normals(rng, count)
+
+    monkeypatch.setattr(states_module, "_complex_normals", counted)
+    for n in (1, 3, 7, 14):
+        for seed in range(5):
+            draws.clear()
+            factors = random_local(n, "invertible", seed).factors
+            assert np.array_equal(factors, oracles.stream_random_local(n, "invertible", seed))
+            assert len(draws) > 1
+            assert np.all(np.linalg.cond(factors) <= 2.0)
+
+
+def test_invertible_sampling_gives_up(monkeypatch):
+    monkeypatch.setattr(states_module, "_INVERTIBLE_DET_MIN", math.inf)
+    monkeypatch.setattr(states_module, "_INVERTIBLE_MAX_TRIES", 5)
+    with pytest.raises(RuntimeError, match="invertible"):
+        random_local(3, "invertible", 1)
+
+
+def test_local_operator_factors_are_one_read_only_stack():
+    op = LocalOperator([HADAMARD, SIGMA_X, EYE2])
+    assert isinstance(op.factors, np.ndarray)
+    assert op.factors.shape == (3, 2, 2) and op.factors.dtype == complex
+    assert not op.factors.flags.writeable
+    assert len(op.factors) == op.n == 3
+    for got, want in zip(op.factors, (HADAMARD, SIGMA_X, EYE2)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(op.factors[1], SIGMA_X)
+    with pytest.raises(ValueError):
+        op.factors[0, 0, 0] = 2.0
+    assert np.allclose(op.determinants(), [-1.0, -1.0, 1.0], rtol=0, atol=1e-15)
+
+
+def test_local_operator_errors_name_the_first_bad_factor():
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match=r"^factor 1 is not unitary: \|\|U\^H U - I\|\|_max = 1\.000e\+00$"):
+        LocalOperator((EYE2, shear, 2 * EYE2, shear))
+    singular = np.ones((2, 2))
+    with pytest.raises(ValidationError, match=r"^factor 2 is numerically singular: \|det\| = 0\.000e\+00$"):
+        LocalOperator((EYE2, shear, singular, singular), kind="invertible")
+    with pytest.raises(ValidationError, match=r"^factor 1 must be 2x2, got shape \(3, 3\)$"):
+        LocalOperator((EYE2, np.eye(3), EYE2, np.eye(4)))
+    with pytest.raises(ValidationError, match=r"^factor 0 must be 2x2, got shape \(2,\)$"):
+        LocalOperator(EYE2)
+
+
+@pytest.mark.parametrize("n", [0, -1, 15, 100])
+@pytest.mark.parametrize("kind", KINDS)
+def test_random_local_rejects_sizes_out_of_range(kind, n):
+    with pytest.raises(ValidationError, match="n must be in 1..14"):
+        random_local(n, kind, 1)
+
+
+def test_local_operator_rejects_sizes_out_of_range():
+    for factors in ((), [], np.empty((0, 2, 2)), [EYE2] * 15):
+        with pytest.raises(ValidationError, match="n must be in 1..14"):
+            LocalOperator(factors)
+    with pytest.raises(ValidationError):
+        parse_operator('{"kind": "unitary", "factors": []}')
+    LocalOperator([EYE2] * 14)
+
+
+def test_boolean_entries_are_rejected():
+    for amps in ("[[true, 0], [false, 0]]", "[[1, 0], [0, false]]", "[[0.6, 0], [0.8, true]]"):
+        with pytest.raises(ValidationError, match="true or false"):
+            parse_state(f'{{"n": 1, "amplitudes": {amps}}}')
+    # the numbers 1 and 0, integer or float, stay valid entries, also when
+    # the words true and false occur elsewhere in the file
+    assert parse_state('{"n": 1, "amplitudes": [[1, 0], [0.0, 0.0]]}').normalized
+    assert parse_state('{"n": 1, "note": "true", "amplitudes": [[1, 0], [0, 0]]}').normalized
+    one, zero = "[true, false]", "[false, false]"
+    doc = f'{{"kind": "unitary", "factors": [[[{one}, {zero}], [{zero}, {one}]]]}}'
+    with pytest.raises(ValidationError, match="true or false"):
+        parse_operator(doc)
+    assert parse_operator(doc.replace("true", "1").replace("false", "0")).n == 1
+
+
+def _array_holding_values():
+    state = random_state(3, 1)
+    part = QubitPartition((1,), 3)
+    profile = invariant_profile(state, [part])
+    return {
+        "PureState": (state, random_state(3, 1)),
+        "LocalOperator": (random_local(3, "unitary", 1), random_local(3, "unitary", 1)),
+        "OmegaMatrix": (omega(state, part), omega(state, part)),
+        "PartitionInvariants": (profile.partitions[0], invariant_profile(state, [part]).partitions[0]),
+        "InvariantProfile": (profile, invariant_profile(state, [part])),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "PureState", "LocalOperator", "OmegaMatrix", "PartitionInvariants", "InvariantProfile",
+])
+def test_array_holding_types_compare_by_identity(name):
+    value, twin = _array_holding_values()[name]
+    assert type(value).__name__ == name
+    assert value == value and not value == twin and value != twin
+    assert value in [twin, value] and twin not in [value]
+    assert hash(value) == hash(value)
+    assert len({value, twin, value}) == 2
