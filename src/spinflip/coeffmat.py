@@ -85,11 +85,11 @@ def _local_ranks(state: PureState) -> tuple[int, ...]:
     """Ranks of all n single-qubit coefficient matrices C_1..C_n, from one
     gather and one stacked SVD."""
     # deferred import: invariants depends on this module
-    from .invariants import NOISE_FLOOR, _rank, singular_values
+    from .invariants import _rank, singular_values
 
+    # no noise floor: sigma_1(C_k) >= ||a|| / sqrt(2) for every nonzero state
     stack = state.amplitudes[_local_index(state.n)]
-    floor = NOISE_FLOOR * float(np.max(np.abs(state.amplitudes)))
-    return tuple(_rank(singular_values(stack), floor).tolist())
+    return tuple(_rank(singular_values(stack), 0.0).tolist())
 
 
 def local_rank(state: PureState, qubit: int) -> int:

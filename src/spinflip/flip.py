@@ -21,7 +21,7 @@ import numpy as np
 
 from .coeffmat import QubitPartition, coeff_matrix
 from .errors import ValidationError
-from .states import LocalOperator, PureState, apply_local, parity_signs
+from .states import LocalOperator, PureState, _frozen, apply_local, parity_signs
 
 SYMMETRY_ATOL = 1e-12
 
@@ -35,11 +35,7 @@ class OmegaMatrix:
     def __post_init__(self):
         if self.power < 1:
             raise ValidationError(f"power must be >= 1, got {self.power}")
-        dim = 2**self.partition.size
-        mat = np.array(self.entries, dtype=complex)  # copied: the caller's array stays writable
-        if mat.shape != (dim, dim):
-            raise ValidationError(f"entries must be {dim}x{dim}, got {mat.shape}")
-        mat.setflags(write=False)
+        mat = _frozen(self.entries, (2**self.partition.size,) * 2, "entries")
         object.__setattr__(self, "entries", mat)
         if self.power == 1:
             # power 1 is symmetric for even n-i, skew-symmetric for odd n-i
@@ -140,14 +136,20 @@ def verify_congruence(
         raise ValidationError("state, operator, and partition sizes must agree")
     if ell < 1:
         raise ValidationError(f"power must be >= 1, got {ell}")
-    lhs = _omega_powers(apply_local(state, op), partition, ell)[-1]
-
     dets = op.determinants()
     alpha = complex(np.prod([dets[q - 1] for q in partition.rows]))
     beta = complex(np.prod([dets[q - 1] for q in partition.columns()]))
     p_mat = reduce(np.kron, [op.factors[q - 1] for q in partition.rows])
-    core = _omega_powers(state, partition, ell)[-1]
-    rhs = alpha ** (ell - 1) * beta**ell * (p_mat @ core @ p_mat.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        lhs = _omega_powers(apply_local(state, op), partition, ell)[-1]
+        core = _omega_powers(state, partition, ell)[-1]
+        try:
+            prefactor = alpha ** (ell - 1) * beta**ell
+        except OverflowError:
+            prefactor = np.inf
+        rhs = prefactor * (p_mat @ core @ p_mat.T)
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise ValidationError(f"power {ell} puts the congruence sides out of floating-point range")
 
     denom = float(np.max(np.abs(lhs)))
     diff = float(np.max(np.abs(lhs - rhs)))

@@ -314,6 +314,7 @@ def invariant_profile(
 ) -> InvariantProfile:
     """Full profile: per-partition ranks and singular values per power,
     plus the parity-appropriate closed forms."""
+    _require_normalized(state, "invariant_profile")
     if partitions is None:
         partitions = [QubitPartition(default_rows(state.n), state.n)]
     per_partition = tuple(_partition_invariants(state, p, max_power) for p in partitions)

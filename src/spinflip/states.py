@@ -47,6 +47,26 @@ def _norm(amps: np.ndarray) -> float:
     return peak * math.sqrt(float(mags @ mags))
 
 
+def _require_qubits(n: int) -> None:
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {n}")
+
+
+def _frozen(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A read-only complex copy of values, so the caller's array stays
+    writable, after checking its shape and that every entry is finite."""
+    try:
+        arr = np.array(values, dtype=complex)
+    except (TypeError, ValueError) as exc:  # ragged, or not numbers
+        raise ValidationError(f"{what} must be numeric") from exc
+    if arr.shape != shape:
+        raise ValidationError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Immutable pure state of n qubits.
@@ -61,19 +81,9 @@ class PureState:
     normalized: bool = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {self.n}")
-        # a copy, so that freezing it leaves the caller's array writable
-        vec = np.array(self.amplitudes, dtype=complex)
-        if vec.shape != (2**self.n,):
-            raise ValidationError(
-                f"expected {2**self.n} amplitudes for n={self.n}, got shape {vec.shape}"
-            )
-        if not np.isfinite(vec).all():
-            raise ValidationError("amplitudes must be finite")
-        vec.setflags(write=False)
-        object.__setattr__(self, "amplitudes", vec)
-        norm = _norm(vec)
+        _require_qubits(self.n)
+        object.__setattr__(self, "amplitudes", _frozen(self.amplitudes, (2**self.n,), "amplitudes"))
+        norm = _norm(self.amplitudes)
         object.__setattr__(self, "normalized", abs(norm * norm - 1.0) <= NORM_ATOL)
 
     def norm(self) -> float:
@@ -111,18 +121,15 @@ class LocalOperator:
     def __post_init__(self):
         if self.kind not in ("unitary", "invertible"):
             raise ValidationError(f"unknown operator kind {self.kind!r}")
-        if not 1 <= len(self.factors) <= MAX_QUBITS:
-            raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {len(self.factors)}")
+        _require_qubits(self.n)
         try:
-            mats = np.array(self.factors, dtype=complex)  # copied: callers' arrays stay writable
-        except ValueError:  # ragged, or not numbers
-            mats = np.empty(0)
-        if mats.shape[1:] != (2, 2):
+            mats = _frozen(self.factors, (self.n, 2, 2), "factors")
+        except ValidationError:
             # only on failure: name the first factor that is not 2x2
             for k, factor in enumerate(self.factors):
                 if np.shape(factor) != (2, 2):
                     raise ValidationError(f"factor {k} must be 2x2, got shape {np.shape(factor)}")
-            raise ValidationError("factors must be numeric 2x2 matrices")
+            raise
         if self.kind == "unitary":
             gram = mats.conj().swapaxes(1, 2) @ mats
             values = np.max(np.abs(gram - np.eye(2)), axis=(1, 2))
@@ -133,7 +140,6 @@ class LocalOperator:
         if bad.any():
             k = int(np.argmax(bad))
             raise ValidationError(f"factor {k} {what} = {values[k]:.3e}")
-        mats.setflags(write=False)
         object.__setattr__(self, "factors", mats)
 
     @property
@@ -264,8 +270,7 @@ def apply_local(state: PureState, op: LocalOperator) -> PureState:
 
 def random_state(n: int, seed: int | None = None) -> PureState:
     """Haar-random pure state: normalized vector of iid complex Gaussians."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {n}")
+    _require_qubits(n)
     rng = _rng(seed)
     vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return PureState(n, vec / np.linalg.norm(vec))
@@ -293,10 +298,7 @@ _INVERTIBLE_MAX_TRIES = 1000
 def random_local(n: int, kind: str = "unitary", seed: int | None = None) -> LocalOperator:
     """Random local operator: Haar unitaries, or as invertibles the first n
     Gaussian candidates, in draw order, within both conditioning bounds."""
-    if kind not in ("unitary", "invertible"):
-        raise ValidationError(f"unknown operator kind {kind!r}")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {n}")
+    _require_qubits(n)
     rng = _rng(seed)
     if kind == "unitary":
         q, r = np.linalg.qr(_complex_normals(rng, n) / math.sqrt(2))
@@ -313,21 +315,17 @@ def random_local(n: int, kind: str = "unitary", seed: int | None = None) -> Loca
     raise RuntimeError("failed to sample well-conditioned invertible factors")
 
 
-def _pairs_to_complex(pairs, what: str, shape: tuple[int, ...], text: str) -> np.ndarray:
-    """Complex array of the given shape from nested [re, im] pairs parsed from text."""
+def _pairs_to_complex(pairs, what: str, text: str) -> np.ndarray:
+    """Complex array from nested [re, im] pairs parsed from text, shaped as they nest."""
     try:
         arr = np.asarray(pairs, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be numeric [re, im] pairs") from exc
-    if arr.shape != shape + (2,):
-        raise ValidationError(
-            f"{what} must have shape {shape + (2,)} ([re, im] pairs), got {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{what} contain non-finite numbers")
+    if arr.ndim < 2 or arr.shape[-1] != 2:
+        raise ValidationError(f"{what} must be [re, im] pairs, got shape {arr.shape}")
     # JSON true/false read as 1.0/0.0; entry types are read only if both occur
     if ((arr == 0.0) | (arr == 1.0)).any() and ("true" in text or "false" in text):
-        entries = reduce(lambda items, _: chain.from_iterable(items), shape, pairs)
+        entries = reduce(lambda items, _: chain.from_iterable(items), range(arr.ndim - 1), pairs)
         if bool in set(map(type, entries)):
             raise ValidationError(f"{what} must be numbers, not true or false")
     # a view, not re + 1j * im, which turns -0.0 into 0.0
@@ -349,9 +347,7 @@ def parse_state(text: str) -> PureState:
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValidationError(f"n must be an integer, got {n!r}")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {n}")
-    amps = _pairs_to_complex(doc["amplitudes"], "amplitudes", (2**n,), text)
+    amps = _pairs_to_complex(doc["amplitudes"], "amplitudes", text)
     if not np.any(amps):
         raise ValidationError("amplitudes are all zero; a state needs a nonzero norm")
     return PureState(n, amps)
@@ -374,7 +370,7 @@ def parse_operator(text: str) -> LocalOperator:
         raise ValidationError('operator file must be {"kind": ..., "factors": ...}')
     if not isinstance(doc["factors"], list):
         raise ValidationError("factors must be a list of 2x2 matrices")
-    factors = _pairs_to_complex(doc["factors"], "factors", (len(doc["factors"]), 2, 2), text)
+    factors = _pairs_to_complex(doc["factors"], "factors", text)
     return LocalOperator(factors, kind=doc["kind"])
 
 

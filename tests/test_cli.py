@@ -487,6 +487,25 @@ def test_verify_congruence_power_zero_exits_2(states, tmp_path, capsys):
     assert "power must be >= 1, got 0" in err
 
 
+@pytest.mark.parametrize("name, op", [
+    # W's high powers vanish, but beta^2000 overflows the prefactor
+    ("w3", random_local(3, "invertible", 7)),
+    # 3 I on every qubit overflows the transformed state's power stack
+    ("ghz3", LocalOperator(np.full((3, 2, 2), 3.0) * np.eye(2), "invertible")),
+])
+def test_verify_congruence_out_of_range_power_exits_2(states, tmp_path, capsys, name, op):
+    op_path = tmp_path / "op.json"
+    op_path.write_text(serialize_operator(op))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            ["verify-congruence", states[name], str(op_path), "--power", "2000"], capsys
+        )
+    assert code == 2
+    assert out == ""
+    assert "power 2000" in err
+
+
 def test_boolean_and_empty_inputs_exit_2(states, tmp_path, capsys):
     # JSON true/false once read as 1.0/0.0: this file parsed as |0>, and an
     # operator of booleans as the identity, which apply wrote out with exit 0

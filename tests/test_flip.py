@@ -1,6 +1,7 @@
 """Tests for kernels, spin-flipping matrices, powers, and the congruence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,16 @@ def test_omega_matrix_symmetry_enforced():
     with pytest.raises(ValidationError):
         OmegaMatrix(part, 1, bad)
     OmegaMatrix(part, 2, bad)  # higher powers carry no symmetry contract
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("power", [1, 2])
+def test_omega_matrix_rejects_non_finite_entries(power, bad):
+    # checked before power 1's symmetry test, which NaN passes and inf warns in
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^entries must be finite$"):
+            OmegaMatrix(QubitPartition((1,), 3), power, [[bad, 0.0], [0.0, 1.0]])
 
 
 def test_congruence_identity_operator():

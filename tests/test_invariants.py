@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -553,6 +554,19 @@ def test_invariant_profile_shapes():
     prof2 = invariant_profile(standard_state("bell"))
     assert prof2.concurrence == pytest.approx(0.5, abs=1e-15)
     assert prof2.partitions[0].rank_profile.partition.rows == (1,)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e60])
+def test_invariant_profile_refuses_unnormalized_before_any_matrix(monkeypatch, scale):
+    # at 1e60 the power recursion would overflow; at 1e-100 every SVD would
+    # run before a closed form refused the state
+    calls = helpers.count_svd_calls(monkeypatch)
+    state = PureState(3, standard_state("ghz", 3).amplitudes * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^invariant_profile requires a normalized state$"):
+            invariant_profile(state)
+    assert calls == []
 
 
 def test_invariant_profile_multiple_partitions():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -546,6 +547,25 @@ def test_local_operator_errors_name_the_first_bad_factor():
         LocalOperator((EYE2, np.eye(3), EYE2, np.eye(4)))
     with pytest.raises(ValidationError, match=r"^factor 0 must be 2x2, got shape \(2,\)$"):
         LocalOperator(EYE2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_local_operator_rejects_non_finite_factors(kind, bad):
+    # NaN passes both comparison tests (every comparison with it is false)
+    # and inf makes det warn, so finiteness is checked before either; a file
+    # gets the same check and message as a direct construction
+    factors = np.array([EYE2, EYE2], dtype=complex)
+    factors[1, 1, 1] = bad
+    pairs = np.stack([factors.real, factors.imag], -1).tolist()
+    doc = json.dumps({"kind": kind, "factors": pairs})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^factors must be finite$") as direct:
+            LocalOperator(factors, kind)
+        with pytest.raises(ValidationError) as parsed:
+            parse_operator(doc)
+    assert str(parsed.value) == str(direct.value)
 
 
 @pytest.mark.parametrize("n", [0, -1, 15, 100])
