@@ -273,8 +273,6 @@ def slocc_compare(a: PureState, b: PureState) -> CompareVerdict:
     """
     if a.n != b.n:
         raise ValidationError(f"states have different sizes: {a.n} vs {b.n}")
-    if not (np.any(a.amplitudes) and np.any(b.amplitudes)):
-        raise ValidationError("cannot compare a zero state")
     classify = {2: classify_two, 3: classify_three}.get(a.n)
     if classify is not None:
         la, lb = classify(a), classify(b)

@@ -8,7 +8,6 @@ index. Entry (r, c) is the amplitude whose index combines those bits.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -95,16 +94,10 @@ def _local_ranks(state: PureState) -> tuple[int, ...]:
 def local_rank(state: PureState, qubit: int) -> int:
     """Numerical rank of the single-qubit coefficient matrix C_qubit.
 
-    Rank 1 certifies the qubit factors out of the rest of the state; rank 0
-    happens only for the zero vector.
+    Rank 1 certifies the qubit factors out of the rest of the state.
     """
     if state.n < 2:
         raise ValidationError("local_rank needs at least 2 qubits")
     if not 1 <= qubit <= state.n:
         raise ValidationError(f"qubit label {qubit} out of range 1..{state.n}")
-    if not np.any(state.amplitudes):
-        warnings.warn(
-            "local_rank of the zero state is 0", RuntimeWarning, stacklevel=2
-        )
-        return 0
     return _local_ranks(_peak_scaled(state))[qubit - 1]

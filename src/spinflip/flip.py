@@ -21,7 +21,7 @@ import numpy as np
 
 from .coeffmat import QubitPartition, coeff_matrix
 from .errors import ValidationError
-from .states import LocalOperator, PureState, _frozen, apply_local, parity_signs
+from .states import LocalOperator, PureState, _frozen, _peak_scaled, apply_local, parity_signs
 
 SYMMETRY_ATOL = 1e-12
 
@@ -115,11 +115,6 @@ def omega_power_sequence(
     return [OmegaMatrix(partition, ell, mat) for ell, mat in enumerate(stack, start=1)]
 
 
-# Relative residuals fall back to absolute when the reference side is
-# essentially zero.
-ZERO_LHS_FLOOR = 1e-14
-
-
 def verify_congruence(
     state: PureState,
     op: LocalOperator,
@@ -129,29 +124,42 @@ def verify_congruence(
     """Check the congruence identity for one state, operator, and power.
 
     LHS is the power-l matrix of the transformed state; RHS is
-    alpha^(l-1) beta^l P Omega^(.l) P^T built from the original state. The
-    residual is max |LHS - RHS| over max |LHS|, absolute when LHS vanishes.
+    alpha^(l-1) beta^l P Omega^(.l) P^T built from the original state, read
+    at its peak scale (both sides have degree 2l in it). When both states'
+    power l has rank 0 by the rank rule's noise floor, both sides are
+    rounding noise and the residual is 0.0; otherwise it is max |LHS - RHS|
+    over the larger of max |LHS| and max |RHS|.
     """
+    # deferred import: invariants depends on this module
+    from .invariants import _noise_floors, _rank, singular_values
+
     if partition.n != state.n or op.n != state.n:
         raise ValidationError("state, operator, and partition sizes must agree")
     if ell < 1:
         raise ValidationError(f"power must be >= 1, got {ell}")
+    state = _peak_scaled(state)
     dets = op.determinants()
     alpha = complex(np.prod([dets[q - 1] for q in partition.rows]))
     beta = complex(np.prod([dets[q - 1] for q in partition.columns()]))
     p_mat = reduce(np.kron, [op.factors[q - 1] for q in partition.rows])
+    moved = apply_local(state, op)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        lhs = _omega_powers(apply_local(state, op), partition, ell)[-1]
-        core = _omega_powers(state, partition, ell)[-1]
+        stacks = [_omega_powers(s, partition, ell) for s in (moved, state)]
         try:
             prefactor = alpha ** (ell - 1) * beta**ell
         except OverflowError:
             prefactor = np.inf
-        rhs = prefactor * (p_mat @ core @ p_mat.T)
+        lhs, rhs = stacks[0][-1], prefactor * (p_mat @ stacks[1][-1] @ p_mat.T)
     if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
         raise ValidationError(f"power {ell} puts the congruence sides out of floating-point range")
 
-    denom = float(np.max(np.abs(lhs)))
-    diff = float(np.max(np.abs(lhs - rhs)))
-    residual = diff if denom < ZERO_LHS_FLOOR else diff / denom
+    # P is invertible and the prefactor nonzero, so the RHS has the rank of
+    # the original state's power l: only powers 1 and l need a spectrum
+    sigmas = singular_values(np.stack([stack[[0, -1]] for stack in stacks]))
+    with np.errstate(over="ignore"):  # an infinite floor reads the power as vanished
+        floors = [_noise_floors(s, top, ell)[-1] for s, top in zip((moved, state), sigmas[:, 0, 0])]
+    if not _rank(sigmas[:, 1], floors).any():
+        return CongruenceReport(alpha=alpha, beta=beta, residual=0.0)
+    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+    residual = float(np.max(np.abs(lhs - rhs)) / scale)
     return CongruenceReport(alpha=alpha, beta=beta, residual=residual)

@@ -25,9 +25,6 @@ from .states import MAX_QUBITS, PureState, _norm, _peak_scaled, parity_signs
 # exceeds this fraction of its spectrum's top value
 RANK_TOL = 1e-10
 
-# absolute floor keeping relative thresholds meaningful near zero
-TINY = 1e-300
-
 # a power matrix whose top singular value falls below this fraction of its
 # a-priori magnitude is treated as accumulated rounding noise (rank 0)
 NOISE_FLOOR = 1e-12
@@ -137,7 +134,7 @@ def _rank(sigma: np.ndarray, floor) -> np.ndarray:
     if sigma.shape[-1] == 0:
         return np.zeros(sigma.shape[:-1], dtype=int)
     top = sigma[..., :1]
-    counts = np.sum(sigma > RANK_TOL * np.maximum(top, TINY), axis=-1)
+    counts = np.sum(sigma > RANK_TOL * top, axis=-1)
     return np.where(top[..., 0] > floor, counts, 0)
 
 
@@ -214,6 +211,16 @@ def _require_normalized(state: PureState, what: str) -> None:
         raise ValidationError(f"{what} requires a normalized state")
 
 
+def _noise_floors(state: PureState, top: float, max_power: int) -> list[float]:
+    """NOISE_FLOOR * sum |a_i|^2 * top^(l-1) for the powers l = 1..max_power,
+    top being sigma_1 of power 1: the magnitude the recursion multiplies in
+    per step, so its rounding error stays orders below it. Power l at or
+    below its floor is noise, of rank 0. The floor has power l's degree 2l
+    in the state's scale, so any scale reads the ray."""
+    norm = _norm(state.amplitudes)
+    return [NOISE_FLOOR * (norm * norm) * top**ell for ell in range(max_power)]
+
+
 def _partition_invariants(
     state: PureState,
     partition: QubitPartition,
@@ -223,15 +230,8 @@ def _partition_invariants(
     sigmas = singular_values(stack)
     # Ranks are relative to each power's own top singular value (the
     # per-matrix convention; a scalar prefactor then cannot change the
-    # count), but a matrix whose top value sits below an a-priori noise
-    # floor is all rounding noise and has rank 0. The floor for power l is
-    # the entry scale sum |a_i|^2 times sigma_1 of power 1 raised to l-1:
-    # that is the magnitude the recursion multiplies in per step, so
-    # accumulated rounding error stays orders of magnitude below it.
-    norm = _norm(state.amplitudes)
-    base = max(norm * norm, TINY)
-    scale1 = float(sigmas[0, 0])
-    floors = [NOISE_FLOOR * base * scale1**ell for ell in range(max_power)]
+    # count), and 0 at or below the noise floor.
+    floors = _noise_floors(state, sigmas[0, 0], max_power)
     ranks = _rank(sigmas, np.array(floors))
     profile = RankProfile(partition, tuple(ranks.tolist()))
     return PartitionInvariants(profile, tuple(sigmas))

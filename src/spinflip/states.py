@@ -36,12 +36,12 @@ def parity_signs(bits: int) -> np.ndarray:
 
 
 def _norm(amps: np.ndarray) -> float:
-    """2-norm of an amplitude vector. Each square is taken after dividing
-    by the peak magnitude, so none overflows or underflows; a NaN or
-    infinite entry gives a NaN or infinite norm, the zero vector 0.0."""
+    """2-norm of a finite amplitude vector. Each square is taken after
+    dividing by the peak magnitude, so none overflows or underflows; the
+    zero vector gives 0.0."""
     mags = np.abs(amps)
     peak = float(mags.max())
-    if not 0.0 < peak < math.inf:
+    if not peak:
         return peak
     mags /= peak
     return peak * math.sqrt(float(mags @ mags))
@@ -73,7 +73,8 @@ class PureState:
 
     `normalized` is measured, not passed: it says whether sum |a_i|^2 lies
     within NORM_ATOL of 1. Every generator in this module produces
-    normalized states; nothing is silently renormalized. == is identity.
+    normalized states; nothing is silently renormalized. The zero vector is
+    no ray and is refused. == is identity.
     """
 
     n: int
@@ -84,6 +85,8 @@ class PureState:
         _require_qubits(self.n)
         object.__setattr__(self, "amplitudes", _frozen(self.amplitudes, (2**self.n,), "amplitudes"))
         norm = _norm(self.amplitudes)
+        if not norm:
+            raise ValidationError("amplitudes are all zero; a state needs a nonzero norm")
         object.__setattr__(self, "normalized", abs(norm * norm - 1.0) <= NORM_ATOL)
 
     def norm(self) -> float:
@@ -347,10 +350,7 @@ def parse_state(text: str) -> PureState:
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValidationError(f"n must be an integer, got {n!r}")
-    amps = _pairs_to_complex(doc["amplitudes"], "amplitudes", text)
-    if not np.any(amps):
-        raise ValidationError("amplitudes are all zero; a state needs a nonzero norm")
-    return PureState(n, amps)
+    return PureState(n, _pairs_to_complex(doc["amplitudes"], "amplitudes", text))
 
 
 def serialize_state(state: PureState) -> str:

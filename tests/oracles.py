@@ -7,6 +7,10 @@ dense matrices, singular values through the Hermitian eigenproblem of
 m^H m, and local operators as the full 2^n x 2^n Kronecker matrix.
 Unit tests freeze values computed by these routes as literals.
 
+The exact oracles compute over Gaussian rationals (stdlib fractions), so
+on Gaussian-integer states every power matrix and its rank is exact, and
+the float route's ranks and vanishing powers can be held to them.
+
 The stream oracles are the exception: they keep the per-factor samplers
 and the tensordot application that random_local and apply_local replaced,
 and the package must reproduce them bit for bit, so that seeded orbit
@@ -27,6 +31,7 @@ definition; the literal recursion is authoritative here.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -40,11 +45,11 @@ def bit_parity(i: int) -> int:
     return bin(i).count("1") & 1
 
 
-def oracle_coeff_matrix(amps, n: int, rows) -> np.ndarray:
+def oracle_coeff_matrix(amps, n: int, rows, dtype=complex) -> np.ndarray:
     """Entry-by-entry coefficient matrix via binary index strings."""
     rows = list(rows)
     cols = [q for q in range(1, n + 1) if q not in rows]
-    mat = np.zeros((2 ** len(rows), 2 ** len(cols)), dtype=complex)
+    mat = np.zeros((2 ** len(rows), 2 ** len(cols)), dtype=dtype)
     for i in range(2**n):
         bits = format(i, f"0{n}b")
         r = int("".join(bits[q - 1] for q in rows), 2)
@@ -80,6 +85,113 @@ def oracle_omega_power(amps, n: int, rows, ell: int) -> np.ndarray:
     for _ in range(ell - 1):
         out = out @ kern @ base
     return out
+
+
+class Gaussian:
+    """An exact Gaussian rational re + i im; ints mix in as real values."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def lift(value) -> "Gaussian":
+        return value if isinstance(value, Gaussian) else Gaussian(value)
+
+    def __add__(self, other):
+        other = Gaussian.lift(other)
+        return Gaussian(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = Gaussian.lift(other)
+        return Gaussian(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        other = Gaussian.lift(other)
+        return Gaussian(self.re * other.re - self.im * other.im,
+                        self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = Gaussian.lift(other)
+        norm = other.re * other.re + other.im * other.im
+        return Gaussian((self.re * other.re + self.im * other.im) / norm,
+                        (self.im * other.re - self.re * other.im) / norm)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
+def exact_omega_power(amps, n: int, rows, ell: int) -> np.ndarray:
+    """oracle_omega_power over Python numbers (object arrays), so it is
+    exact for int or Gaussian amplitudes."""
+    cmat = oracle_coeff_matrix(amps, n, rows, dtype=object)
+    col_kernel = oracle_kernel(n - len(rows)).astype(int).astype(object)
+    row_kernel = oracle_kernel(len(rows)).astype(int).astype(object)
+    base = cmat @ col_kernel @ cmat.T
+    out = base
+    for _ in range(ell - 1):
+        out = out @ row_kernel @ base
+    return out
+
+
+def exact_rank(mat) -> int:
+    """Rank by Gaussian elimination over the Gaussian rationals."""
+    rows = [[Gaussian.lift(x) for x in row] for row in mat]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def integer_class_seeds(n: int) -> dict[str, list[int]]:
+    """Integer-amplitude GHZ, W, A-BC (qubit 1 apart from a GHZ of the rest)
+    and A-B-C states of n qubits."""
+    size = 2**n
+
+    def basis_sum(*indices):
+        return [int(i in indices) for i in range(size)]
+
+    return {
+        "GHZ": basis_sum(0, size - 1),
+        "W": basis_sum(*(1 << k for k in range(n))),
+        "A-BC": basis_sum(0, size // 2 - 1),
+        "A-B-C": basis_sum(0),
+    }
+
+
+def gaussian_integer_factors(n: int, seed: int) -> list[np.ndarray]:
+    """n invertible 2x2 object arrays of Gaussian integers, real and
+    imaginary parts drawn from -3..3, singular draws skipped."""
+    rng = np.random.default_rng(seed)
+    factors = []
+    while len(factors) < n:
+        re, im = rng.integers(-3, 4, size=(2, 2, 2)).tolist()
+        factor = np.array([[Gaussian(re[r][c], im[r][c]) for c in range(2)] for r in range(2)])
+        if factor[0, 0] * factor[1, 1] - factor[0, 1] * factor[1, 0]:
+            factors.append(factor)
+    return factors
+
+
+def exact_apply_local(amps, factors) -> np.ndarray:
+    """oracle_apply_local over Python numbers: exact on Gaussian integers."""
+    full = reduce(np.kron, factors)
+    return full @ np.array(amps, dtype=object)
 
 
 def oracle_singular_values(mat) -> np.ndarray:

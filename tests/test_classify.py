@@ -694,7 +694,12 @@ def test_slocc_compare_decides_by_ranks_alone(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_slocc_compare_rejects_a_zero_state(n):
-    zero = PureState(n, np.zeros(2**n))
-    for a, b in ((zero, standard_state("ghz", n)), (standard_state("ghz", n), zero)):
-        with pytest.raises(ValidationError, match="zero state"):
-            slocc_compare(a, b)
+    # the refusal is PureState's, so no zero state reaches the compare; the
+    # tiniest nonzero state is a product ray like any other
+    with pytest.raises(ValidationError, match="all zero"):
+        PureState(n, np.zeros(2**n))
+    tiniest = PureState(n, np.eye(1, 2**n).ravel() * 5e-324)
+    ghz = standard_state("ghz", n)
+    assert slocc_compare(tiniest, standard_state("zeros", n)).relation == "not-distinguished"
+    for a, b in ((tiniest, ghz), (ghz, tiniest)):
+        assert slocc_compare(a, b).relation == "inequivalent"

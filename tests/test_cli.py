@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from spinflip import LocalOperator, parse_state, random_local, serialize_operator
+from spinflip import LocalOperator, PureState, flip, parse_state, random_local, serialize_operator
 from spinflip.cli import main
 
 import helpers
@@ -474,6 +474,43 @@ def test_verify_congruence_report(states, tmp_path, capsys):
     )
     assert strict["passed"] is False
     assert strict["residual"] == report["residual"]
+
+
+def test_verify_congruence_vanishing_power_passes(states, tmp_path, capsys):
+    # W3's rows {1} power 2 is zero on both sides; its rounding noise once
+    # sat above an unscaled zero floor and read as residual 1.0
+    op_path = tmp_path / "op3.json"
+    op_path.write_text(serialize_operator(random_local(3, "invertible", 3)))
+    report = run_report(
+        ["verify-congruence", states["w3"], str(op_path), "--rows", "1", "--power", "2"], capsys
+    )
+    assert report["residual"] == 0.0
+    assert report["passed"] is True
+    assert report["config"]["tol"] is None
+
+
+@pytest.mark.parametrize("power", [20, 40])
+def test_verify_congruence_catches_a_corrupted_side(states, tmp_path, capsys, monkeypatch, power):
+    # GHZ3's image under this operator shrinks below 1e-23 from power 20 on,
+    # where an absolute residual once passed a zero or rescaled image
+    op_path = tmp_path / "op89.json"
+    op_path.write_text(serialize_operator(random_local(3, "invertible", 89)))
+    argv = ["verify-congruence", states["ghz3"], str(op_path), "--power", str(power)]
+    assert run_report(argv, capsys)["residual"] < 1e-11
+    honest = flip.apply_local
+    ket0 = np.eye(1, 8).ravel()
+    monkeypatch.setattr("spinflip.flip.apply_local", lambda state, op: PureState(3, ket0))
+    report = run_report(argv, capsys)
+    assert report["residual"] == 1.0
+    assert report["passed"] is False
+    # scales the power-l side by exactly 1 + 1e-6, up to rounding
+    gain = (1 + 1e-6) ** (1 / (2 * power))
+    monkeypatch.setattr(
+        "spinflip.flip.apply_local", lambda state, op: PureState(3, gain * honest(state, op).amplitudes)
+    )
+    report = run_report(argv, capsys)
+    assert report["residual"] == pytest.approx(1e-6, rel=1e-3)
+    assert report["passed"] is False
 
 
 def test_verify_congruence_power_zero_exits_2(states, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for coefficient matrices, partitions, and local ranks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,10 +136,15 @@ def test_local_rank_examples():
     assert local_rank(acin_state(form), 1) == 2
 
 
-def test_local_rank_zero_state_warns():
-    zero = PureState(2, np.zeros(4, dtype=complex))
-    with pytest.warns(RuntimeWarning):
-        assert local_rank(zero, 1) == 0
+def test_local_rank_has_no_zero_state():
+    # PureState refuses the zero vector, so local_rank keeps no zero branch
+    # and no warning; the tiniest nonzero state factors on every qubit
+    with pytest.raises(ValidationError, match="all zero"):
+        PureState(2, np.zeros(4, dtype=complex))
+    tiniest = PureState(2, np.array([5e-324, 0, 0, 0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [local_rank(tiniest, q) for q in (1, 2)] == [1, 1]
 
 
 def test_local_rank_validation():

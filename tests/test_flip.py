@@ -1,5 +1,6 @@
 """Tests for kernels, spin-flipping matrices, powers, and the congruence."""
 
+import itertools
 import math
 import warnings
 
@@ -357,6 +358,68 @@ def test_congruence_property_suite():
     for state, op, part, ell in helpers.congruence_cases(100):
         report = verify_congruence(state, op, part, ell)
         assert report.residual < 1e-8
+    # W over every row subset, n = 2..5, powers 1..4: a power the exact
+    # oracle finds zero is zero on both sides and reads 0.0, any other < 1e-12
+    vanished = set()
+    for n in range(2, 6):
+        w, w_int = standard_state("w", n), oracles.integer_class_seeds(n)["W"]
+        op = random_local(n, "invertible", 8200 + n)
+        for size in range(1, n):
+            for rows in itertools.combinations(range(1, n + 1), size):
+                part = QubitPartition(rows, n)
+                for ell in range(1, 5):
+                    residual = verify_congruence(w, op, part, ell).residual
+                    if oracles.exact_rank(oracles.exact_omega_power(w_int, n, rows, ell)):
+                        assert residual < 1e-12, (n, rows, ell)
+                    else:
+                        assert residual == 0.0, (n, rows, ell)
+                        vanished.add((n, rows, ell))
+    assert {(3, (1,), 2), (3, (1, 2), 3)} <= vanished
+
+
+def test_exact_oracle_ranks_and_vanishing_powers():
+    # Gaussian-integer SLOCC images of integer class seeds: their floats are
+    # the exact states, so the float ranks must be the exact ones. A second
+    # such operator takes the congruence sides past 2^53, where rounding
+    # noise fills a power that is exactly zero: it must read residual 0.0
+    vanished = 0
+    for n in (3, 4):
+        part = QubitPartition((1, 2), n)
+        for name, seed in oracles.integer_class_seeds(n).items():
+            for trial in range(5):
+                image = oracles.exact_apply_local(
+                    seed, oracles.gaussian_integer_factors(n, 8300 + 10 * n + trial)
+                )
+                exact = [
+                    oracles.exact_rank(oracles.exact_omega_power(amps, n, (1, 2), ell))
+                    for amps in (seed, image) for ell in (1, 2, 3)
+                ]
+                assert exact[:3] == exact[3:], name  # SLOCC keeps every rank
+                state = PureState(n, image.astype(complex))
+                assert list(rank_profile(state, part, 3).ranks) == exact[3:], name
+                factors = oracles.gaussian_integer_factors(n, 8400 + 10 * n + trial)
+                op = LocalOperator(np.array(factors, dtype=complex), "invertible")
+                for ell, rank in enumerate(exact[3:], start=1):
+                    residual = verify_congruence(state, op, part, ell).residual
+                    if rank:
+                        assert residual < 1e-12, (name, trial, ell)
+                    else:
+                        assert residual == 0.0, (name, trial, ell)
+                        vanished += 1
+    assert vanished == 65
+
+
+def test_congruence_reads_any_scale():
+    # both sides scale as c^(2l): read at raw scale, power 1 of GHZ3 x 1e-160
+    # sits in subnormals (a relative residual of 2.6e-3), and power 2 of
+    # GHZ3 x 1e100 overflows
+    ghz = standard_state("ghz", 3)
+    op = random_local(3, "unitary", 5)
+    part = QubitPartition((1, 2), 3)
+    for scale in (1e-160, 1e100):
+        scaled = PureState(3, scale * ghz.amplitudes)
+        for ell in (1, 2, 3):
+            assert verify_congruence(scaled, op, part, ell).residual < 1e-12
 
 
 def test_congruence_alpha_beta_are_det_products():

@@ -189,6 +189,16 @@ def test_pure_state_validation():
         PureState(15, np.zeros(2**15, dtype=complex))
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_pure_state_refuses_the_zero_vector(n):
+    # the zero vector is no ray, so no rank or comparison ever sees it
+    with pytest.raises(ValidationError, match="^amplitudes are all zero; a state needs a nonzero norm$"):
+        PureState(n, np.zeros(2**n, dtype=complex))
+    tiniest = np.zeros(2**n, dtype=complex)
+    tiniest[-1] = 5e-324
+    assert PureState(n, tiniest).norm() == 5e-324
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
 def test_pure_state_rejects_non_finite_amplitudes(bad):
     amps = np.array([bad, 0, 0, 0], dtype=complex)
