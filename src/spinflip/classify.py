@@ -17,6 +17,7 @@ from .errors import ToleranceInconsistency, ValidationError
 from .flip import _omega_powers
 from .invariants import (
     RANK_TOL,
+    _noise_floors,
     _partition_invariants,
     _require_normalized,
     concurrence_even,
@@ -31,7 +32,9 @@ from .states import AcinForm, PureState, _peak_scaled, acin_state
 THREE_QUBIT_LABELS = ("GHZ", "W", "A-BC", "B-AC", "C-AB", "A-B-C")
 TWO_QUBIT_LABELS = ("entangled", "product")
 
-DEFAULT_COMPARE_TOL = 1e-9
+# the one LU compare threshold, absolute on the closed forms and relative
+# on each power's spectra (see lu_compare)
+COMPARE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -205,48 +208,50 @@ def lu_compare(
     b: PureState,
     partitions: list[QubitPartition] | None = None,
     max_power: int = 3,
-    tol: float = DEFAULT_COMPARE_TOL,
 ) -> CompareVerdict:
     """Necessary-condition comparison of two states under local unitaries.
 
     Checks, in order: the parity-appropriate closed form (concurrence, or
     n-tangle and delta), then per partition and power the sorted
-    singular-value lists. The first difference beyond tol is the witness;
-    agreement everywhere is merely not-distinguished. tol must be finite
-    and >= 0.
+    singular-value lists. A closed form, which lies in [0, 1/2], differs
+    beyond COMPARE_TOL. A gap at power l differs beyond COMPARE_TOL times
+    the larger top singular value of power l and beyond both states' noise
+    floors of power l, so a power that vanishes on both sides compares
+    equal. The first difference is the witness; agreement everywhere is
+    merely not-distinguished.
     """
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"compare tolerance must be finite and >= 0, got {tol}")
     if a.n != b.n:
         raise ValidationError(f"states have different sizes: {a.n} vs {b.n}")
     _require_normalized(a, "lu_compare")
     _require_normalized(b, "lu_compare")
     if a.n % 2 == 0:
         ca, cb = concurrence_even(a), concurrence_even(b)
-        if abs(ca - cb) > tol:
+        if abs(ca - cb) > COMPARE_TOL:
             return CompareVerdict(
                 "inequivalent", Witness("concurrence", ca, cb)
             )
     elif a.n >= 3:
         oa, ob = odd_invariants(a), odd_invariants(b)
-        if abs(oa.ntangle - ob.ntangle) > tol:
+        if abs(oa.ntangle - ob.ntangle) > COMPARE_TOL:
             return CompareVerdict(
                 "inequivalent", Witness("ntangle", oa.ntangle, ob.ntangle)
             )
-        if abs(oa.delta - ob.delta) > tol:
+        if abs(oa.delta - ob.delta) > COMPARE_TOL:
             return CompareVerdict(
                 "inequivalent", Witness("delta", oa.delta, ob.delta)
             )
     if partitions is None:
         partitions = [QubitPartition(default_rows(a.n), a.n)]
+    pair = (a, b)
     for partition in partitions:
-        spectra_a = singular_values(_omega_powers(a, partition, max_power))
-        spectra_b = singular_values(_omega_powers(b, partition, max_power))
+        spectra = singular_values(np.stack([_omega_powers(s, partition, max_power) for s in pair]))
+        floors = [_noise_floors(s, sigma[0, 0], max_power) for s, sigma in zip(pair, spectra)]
+        thresholds = np.max([COMPARE_TOL * spectra[:, :, 0].max(axis=0), *floors], axis=0)
         for idx in range(max_power):
             # spectra descend, so reversing a row sorts it ascending
-            sa, sb = spectra_a[idx, ::-1], spectra_b[idx, ::-1]
+            sa, sb = spectra[0, idx, ::-1], spectra[1, idx, ::-1]
             gaps = np.abs(sa - sb)
-            if np.any(gaps > tol):
+            if np.any(gaps > thresholds[idx]):
                 k = int(np.argmax(gaps))
                 return CompareVerdict(
                     "inequivalent",

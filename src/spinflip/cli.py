@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .classify import (
-    DEFAULT_COMPARE_TOL,
+    COMPARE_TOL,
     classify_acin,
     classify_three,
     classify_two,
@@ -45,7 +45,8 @@ from .states import (
 
 TOOL_NAME = "spinflip"
 
-DEFAULT_RESIDUAL_TOL = 1e-8
+# verify-congruence passes below this relative residual
+RESIDUAL_TOL = 1e-8
 
 # the subcommands whose reports rest on ranks; their config echoes RANK_TOL
 _RANK_COMMANDS = ("invariants", "classify", "classify-acin", "compare-slocc", "family")
@@ -184,10 +185,8 @@ def _cmd_classify_acin(args) -> dict:
 def _cmd_compare_lu(args) -> dict:
     a, b = (_read(path, parse_state, "state") for path in (args.state_a, args.state_b))
     partition = _parse_rows(args.rows, a.n)
-    verdict = lu_compare(a, b, [partition], args.max_power, args.compare_tol)
-    report = _config(
-        args, "compare-lu", partition.rows, compare_tol=args.compare_tol
-    )
+    verdict = lu_compare(a, b, [partition], args.max_power)
+    report = _config(args, "compare-lu", partition.rows, compare_tol=COMPARE_TOL)
     report["relation"] = verdict.relation
     report["witness"] = verdict.witness
     return report
@@ -238,24 +237,22 @@ def _cmd_apply(args) -> str:
 
 
 def _cmd_verify_congruence(args) -> dict:
-    if not (np.isfinite(args.residual_tol) and args.residual_tol > 0):
-        raise ValidationError(f"--residual-tol must be finite and > 0, got {args.residual_tol}")
     state = _read(args.state, parse_state, "state")
     op = _read(args.operator, parse_operator, "operator")
     partition = _parse_rows(args.rows, state.n)
     outcome = verify_congruence(state, op, partition, args.power)
     report = _config(
         args, "verify-congruence", partition.rows,
-        power=args.power, residual_tol=args.residual_tol,
+        power=args.power, residual_tol=RESIDUAL_TOL,
     )
     report["alpha"] = outcome.alpha
     report["beta"] = outcome.beta
     report["residual"] = outcome.residual
-    report["passed"] = bool(outcome.residual < args.residual_tol)
+    report["passed"] = bool(outcome.residual < RESIDUAL_TOL)
     return report
 
 
-def _add_common(parser, rows=False, power=False, compare=False):
+def _add_common(parser, rows=False, power=False):
     parser.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
     if rows:
         parser.add_argument("--rows", default=None,
@@ -263,9 +260,6 @@ def _add_common(parser, rows=False, power=False, compare=False):
     if power:
         parser.add_argument("--max-power", type=int, default=3,
                             help="highest power to compute (default 3)")
-    if compare:
-        parser.add_argument("--compare-tol", type=float, default=DEFAULT_COMPARE_TOL,
-                            help="invariant-difference threshold (default 1e-9)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -295,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare-lu", help="necessary-condition comparison under local unitaries")
     p.add_argument("state_a")
     p.add_argument("state_b")
-    _add_common(p, rows=True, power=True, compare=True)
+    _add_common(p, rows=True, power=True)
     p.set_defaults(func=_cmd_compare_lu)
 
     p = sub.add_parser("compare-slocc", help="necessary-condition comparison under SLOCC")
@@ -330,8 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("operator")
     p.add_argument("--power", type=int, default=1)
-    p.add_argument("--residual-tol", type=float, default=DEFAULT_RESIDUAL_TOL,
-                   help="pass threshold on the relative residual (default 1e-8)")
     _add_common(p, rows=True)
     p.set_defaults(func=_cmd_verify_congruence)
 

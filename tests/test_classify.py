@@ -1,5 +1,6 @@
 """Tests for SLOCC classification, comparison verdicts, and family labels."""
 
+import itertools
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from spinflip import (
     rank_profile,
     standard_state,
 )
-from spinflip.classify import THREE_QUBIT_LABELS, _TRIPLES
+from spinflip.classify import COMPARE_TOL, THREE_QUBIT_LABELS, _TRIPLES
 from spinflip.invariants import _partition_invariants
 
 import helpers
@@ -274,9 +275,7 @@ def test_w1_w2_power_two_singular_route():
         for w in (standard_state("w1"), standard_state("w2"))
     )
     assert abs(s1[0] - s2[0]) > 1e-3
-    only_sigma = lu_compare(
-        standard_state("w1"), standard_state("w2"), [P12_3], 2, 1e-9
-    )
+    only_sigma = lu_compare(standard_state("w1"), standard_state("w2"), [P12_3], 2)
     assert only_sigma.relation == "inequivalent"
 
 
@@ -293,27 +292,96 @@ def test_lu_compare_bell_zeta():
     assert verdict.witness.value_b == pytest.approx(RT2 / 3, abs=1e-12)
 
 
+def all_partitions(n):
+    return [QubitPartition(rows, n) for size in range(1, n)
+            for rows in itertools.combinations(range(1, n + 1), size)]
+
+
+def w_plus(eps, n=3):
+    """W + eps|1...1>, normalized: GHZ class at n = 3, a hair from W."""
+    amps = standard_state("w", n).amplitudes.copy()
+    amps[-1] = eps
+    return PureState(n, amps / np.linalg.norm(amps))
+
+
+def tilted_ghz(eps, n):
+    """sqrt(1 - eps^2)|0...0> + eps|1...1>: every spectrum scales with eps."""
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0], amps[-1] = math.sqrt(1 - eps * eps), eps
+    return PureState(n, amps)
+
+
 def test_lu_compare_stability_under_unitaries():
     for i in range(100):
         n = 3 + i % 3
         state = random_state(n, 7000 + i)
         moved = apply_local(state, random_local(n, "unitary", 7100 + i))
         assert lu_compare(state, moved).relation == "not-distinguished"
+    # powers that vanish or sit near their noise floor take the floor
+    # branch of the threshold; an LU image must still read as its source
+    for n in (3, 4, 5):
+        states = [standard_state("w", n), standard_state("ghz", n)]
+        states += [w_plus(eps, n) for eps in (1e-4, 1e-8, 1e-12, 1e-15)]
+        states += [tilted_ghz(eps, n) for eps in (1e-4, 1e-10, 1e-15)]
+        for k, state in enumerate(states):
+            moved = apply_local(state, random_local(n, "unitary", 7400 + 10 * n + k))
+            verdict = lu_compare(state, moved, all_partitions(n), 6)
+            assert verdict.relation == "not-distinguished", (n, k, verdict)
 
 
-def w_plus(eps):
-    """W + eps|111>, normalized: GHZ class, a hair from the W boundary."""
-    amps = standard_state("w", 3).amplitudes.copy()
-    amps[7] = eps
-    return PureState(3, amps / np.linalg.norm(amps))
+@pytest.mark.parametrize("n", [3, 4, 5, 14])
+def test_lu_compare_reads_spectra_at_their_own_scale(n):
+    # every spectrum of this pair lies below 1e-9; a threshold relative to
+    # the top singular value of each power still sees them differ
+    verdict = lu_compare(tilted_ghz(1e-10, n), tilted_ghz(3e-10, n))
+    assert verdict.relation == "inequivalent"
+    assert verdict.witness.kind == "singular-value"
+    assert verdict.witness.power == 1
 
 
-@pytest.mark.parametrize("eps", [1e-11, 1e-12])
+@pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14])
 def test_lu_compare_reads_spectra_only(eps):
     # the power 1..3 ranks of this pair come out non-monotone; lu_compare
-    # compares spectra and never ranks them, so it still gives a verdict
+    # compares spectra and never ranks them, so it still gives a verdict.
+    # W's rows {1,2} power 3 vanishes; W + eps|111>'s stands above both
+    # noise floors down to eps = 1e-12, and below that sits at the rank
+    # rule's floor, so the pair is not distinguished
     verdict = lu_compare(w_plus(eps), standard_state("w", 3))
-    assert isinstance(verdict, CompareVerdict)
+    assert verdict.relation == ("inequivalent" if eps >= 1e-12 else "not-distinguished")
+
+
+# Two Acin forms LU-inequivalent by the Kempe invariant. B's five weights
+# were solved by least squares at fixed phi so that every spin-flip
+# spectrum of B (each row subset, powers 1..6) matches A's to 3e-16.
+BLIND_A = AcinForm(0.3574170960401311, 0.4717401267594195, 0.559053150220956,
+                   0.32224108658812506, 0.4830471297976795, phi=2.187)
+BLIND_B = AcinForm(0.3466945612760944, 0.43506153384556984, 0.5763434902139583,
+                   0.3322073267293729, 0.49798676318234925, phi=2.191197)
+
+
+def kempe(state):
+    """3 Tr[(rho_A x rho_B) rho_AB] - Tr rho_A^3 - Tr rho_B^3, a three-qubit
+    LU invariant (Kempe, PRA 60, 910, 1999)."""
+    psi = state.amplitudes.reshape(2, 2, 2)
+    rho = np.einsum("abc,xyc->abxy", psi, psi.conj())
+    rho_a, rho_b = np.einsum("abxb->ax", rho), np.einsum("abay->by", rho)
+    mixed = np.einsum("ax,by,xyab->", rho_a, rho_b, rho)
+    cubes = np.trace(rho_a @ rho_a @ rho_a) + np.trace(rho_b @ rho_b @ rho_b)
+    return float((3 * mixed - cubes).real)
+
+
+def test_lu_compare_n3_blind_spot():
+    # at n = 3 the spectra miss one of the five LU parameters: this pair
+    # agrees on every spectrum and closed form, yet the Kempe invariant
+    # (which an LU image keeps) separates it
+    a, b = acin_state(BLIND_A), acin_state(BLIND_B)
+    assert lu_compare(a, b, all_partitions(3), 6).relation == "not-distinguished"
+    ka, kb = kempe(a), kempe(b)
+    assert ka == pytest.approx(0.398572, abs=1e-6)
+    assert kb == pytest.approx(0.399342, abs=1e-6)
+    assert kb - ka > 5e-4
+    moved = apply_local(b, random_local(3, "unitary", 7500))
+    assert kempe(moved) == pytest.approx(kb, abs=1e-12)
 
 
 def test_lu_compare_validation():
@@ -322,18 +390,6 @@ def test_lu_compare_validation():
     lopsided = PureState(2, np.array([2.0, 0, 0, 0], dtype=complex))
     with pytest.raises(ValidationError):
         lu_compare(standard_state("bell"), lopsided)
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
-def test_lu_compare_rejects_bad_tolerance(tol):
-    # NaN would call any two states not-distinguished, a negative threshold
-    # a state inequivalent to itself
-    a, b = random_state(4, 1), random_state(4, 2)
-    with pytest.raises(ValidationError, match="compare tolerance"):
-        lu_compare(a, b, tol=tol)
-    with pytest.raises(ValidationError, match="compare tolerance"):
-        lu_compare(a, a, tol=tol)
-    assert lu_compare(a, a, tol=0.0).relation == "not-distinguished"
 
 
 def test_slocc_compare_ghz_w():
@@ -398,13 +454,12 @@ def test_slocc_compare_dimension_mismatch():
 def test_witness_soundness():
     # numeric witnesses must separate by more than 10x the tolerance; a
     # SLOCC witness is a class or a rank profile, and its values differ
-    tol = 1e-9
     for a, b in [(standard_state("w1"), standard_state("w2")),
                  (standard_state("bell"), zeta())]:
-        verdict = lu_compare(a, b, tol=tol)
+        verdict = lu_compare(a, b)
         assert verdict.relation == "inequivalent"
         gap = abs(verdict.witness.value_a - verdict.witness.value_b)
-        assert gap > 10 * tol
+        assert gap > 10 * COMPARE_TOL
     for a, b in [(standard_state("ghz", 3), standard_state("w", 3)),
                  (standard_state("ghz", 5), standard_state("zeros", 5))]:
         verdict = slocc_compare(a, b)
