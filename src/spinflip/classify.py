@@ -14,12 +14,14 @@ import numpy as np
 
 from .coeffmat import QubitPartition, _local_ranks, coeff_matrix
 from .errors import ToleranceInconsistency, ValidationError
-from .flip import _omega_powers
 from .invariants import (
     RANK_TOL,
-    _noise_floors,
+    RankProfile,
+    _closed_forms,
     _partition_invariants,
+    _rank,
     _require_normalized,
+    _spectra,
     concurrence_even,
     default_rows,
     odd_invariants,
@@ -224,29 +226,18 @@ def lu_compare(
         raise ValidationError(f"states have different sizes: {a.n} vs {b.n}")
     _require_normalized(a, "lu_compare")
     _require_normalized(b, "lu_compare")
-    if a.n % 2 == 0:
-        ca, cb = concurrence_even(a), concurrence_even(b)
-        if abs(ca - cb) > COMPARE_TOL:
-            return CompareVerdict(
-                "inequivalent", Witness("concurrence", ca, cb)
-            )
-    elif a.n >= 3:
-        oa, ob = odd_invariants(a), odd_invariants(b)
-        if abs(oa.ntangle - ob.ntangle) > COMPARE_TOL:
-            return CompareVerdict(
-                "inequivalent", Witness("ntangle", oa.ntangle, ob.ntangle)
-            )
-        if abs(oa.delta - ob.delta) > COMPARE_TOL:
-            return CompareVerdict(
-                "inequivalent", Witness("delta", oa.delta, ob.delta)
-            )
+    (ca, oa), (cb, ob) = _closed_forms(a), _closed_forms(b)
+    witnesses = [("concurrence", ca, cb)] if ca is not None else []
+    if oa is not None:
+        witnesses = [("ntangle", oa.ntangle, ob.ntangle), ("delta", oa.delta, ob.delta)]
+    for kind, va, vb in witnesses:
+        if abs(va - vb) > COMPARE_TOL:
+            return CompareVerdict("inequivalent", Witness(kind, va, vb))
     if partitions is None:
         partitions = [QubitPartition(default_rows(a.n), a.n)]
-    pair = (a, b)
     for partition in partitions:
-        spectra = singular_values(np.stack([_omega_powers(s, partition, max_power) for s in pair]))
-        floors = [_noise_floors(s, sigma[0, 0], max_power) for s, sigma in zip(pair, spectra)]
-        thresholds = np.max([COMPARE_TOL * spectra[:, :, 0].max(axis=0), *floors], axis=0)
+        spectra, floors = _spectra((a, b), partition, max_power)
+        thresholds = np.maximum(COMPARE_TOL * spectra[:, :, 0].max(axis=0), floors.max(axis=0))
         for idx in range(max_power):
             # spectra descend, so reversing a row sorts it ascending
             sa, sb = spectra[0, idx, ::-1], spectra[1, idx, ::-1]
@@ -284,10 +275,12 @@ def slocc_compare(a: PureState, b: PureState) -> CompareVerdict:
         if la != lb:
             return CompareVerdict("inequivalent", Witness("class", la.label, lb.label))
         return CompareVerdict("not-distinguished")
+    # the ranks read each ray at its peak scale, as rank_profile does
+    pair = (_peak_scaled(a), _peak_scaled(b))
     for rows in ((1,), default_rows(a.n)):
         partition = QubitPartition(rows, a.n)
-        ra = rank_profile(a, partition, 3).ranks
-        rb = rank_profile(b, partition, 3).ranks
+        sigmas, floors = _spectra(pair, partition, 3)
+        ra, rb = (RankProfile(partition, tuple(r.tolist())).ranks for r in _rank(sigmas, floors))
         if ra != rb:
             return CompareVerdict("inequivalent", Witness("ranks", ra, rb, rows=rows))
     return CompareVerdict("not-distinguished")

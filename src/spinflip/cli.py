@@ -214,9 +214,13 @@ def _cmd_family(args) -> dict:
 
 
 def _cmd_gen(args) -> str:
-    chosen = [args.state is not None, args.random, args.acin is not None]
-    if sum(chosen) != 1:
-        raise ValidationError("gen needs exactly one of --state, --random, --acin")
+    for flag, value, source, read in (
+        ("--n", args.n, "--state or --random", args.acin is None),
+        ("--seed", args.seed, "--random", args.random),
+        ("--phi", args.phi, "--acin", args.acin is not None),
+    ):
+        if value is not None and not read:
+            raise ValidationError(f"{flag} applies to {source} only")
     if args.state is not None:
         if args.n is None and args.state in ("ghz", "w", "zeros"):
             raise ValidationError(f"--state {args.state} requires --n")
@@ -226,7 +230,7 @@ def _cmd_gen(args) -> str:
             raise ValidationError("--random requires --n")
         state = random_state(args.n, args.seed)
     else:
-        state = acin_state(_parse_acin(args.acin, args.phi))
+        state = acin_state(_parse_acin(args.acin, 0.0 if args.phi is None else args.phi))
     return serialize_state(state)
 
 
@@ -304,11 +308,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("gen", help="write a state file")
-    p.add_argument("--state", default=None,
-                   help="named state: ghz, w, bell, zeros, xi, vartheta, w1, w2")
-    p.add_argument("--random", action="store_true", help="Haar-random state")
-    p.add_argument("--acin", default=None, help="five canonical weights, comma-separated")
-    p.add_argument("--phi", type=float, default=0.0)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--state", default=None,
+                        help="named state: ghz, w, bell, zeros, xi, vartheta, w1, w2")
+    source.add_argument("--random", action="store_true", help="Haar-random state")
+    source.add_argument("--acin", default=None, help="five canonical weights, comma-separated")
+    p.add_argument("--phi", type=float, default=None, help="phase with --acin (default 0)")
     p.add_argument("--n", type=int, default=None, help="qubit count")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", default=None)

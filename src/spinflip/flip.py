@@ -72,15 +72,10 @@ def _times_kernel(mat: np.ndarray, k: int) -> np.ndarray:
     return mat[:, ::-1] * parity_signs(k)[::-1]
 
 
-def _power_one(state: PureState, partition: QubitPartition) -> np.ndarray:
-    """C v^{(x)(n-i)} C^T, before its symmetry check."""
-    cmat = coeff_matrix(state, partition)
-    return _times_kernel(cmat, state.n - partition.size) @ cmat.T
-
-
 def omega(state: PureState, partition: QubitPartition) -> OmegaMatrix:
     """Power-1 spin-flipping matrix C v^{(x)(n-i)} C^T."""
-    return OmegaMatrix(partition, 1, _power_one(state, partition))
+    cmat = coeff_matrix(state, partition)
+    return OmegaMatrix(partition, 1, _times_kernel(cmat, state.n - partition.size) @ cmat.T)
 
 
 def _stack_powers(
@@ -91,7 +86,11 @@ def _stack_powers(
     recursion, so the whole stack can go to LAPACK in one call."""
     if max_power < 1:
         raise ValidationError(f"max_power must be >= 1, got {max_power}")
-    stack = np.empty((max_power,) + base.shape, dtype=complex)
+    try:
+        stack = np.empty((max_power,) + base.shape, dtype=complex)
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(f"max_power = {max_power} powers of d x d matrices, "
+                              f"d = {len(base)}, cannot be allocated: {exc}") from exc
     stack[0] = base
     for ell in range(1, max_power):
         np.matmul(_times_kernel(stack[ell - 1], partition.size), base, out=stack[ell])
@@ -109,10 +108,11 @@ def _omega_powers(
 def omega_power_sequence(
     state: PureState, partition: QubitPartition, max_power: int
 ) -> list[OmegaMatrix]:
-    """Powers 1..max_power, sharing one pass of the recursion. Each entry
-    copies one row of the stack; power 1 is checked once, on row 0."""
-    stack = _stack_powers(_power_one(state, partition), partition, max_power)
-    return [OmegaMatrix(partition, ell, mat) for ell, mat in enumerate(stack, start=1)]
+    """Powers 1..max_power from one pass of the recursion: omega() itself
+    as power 1, checked once, then a copy of each later stack row."""
+    one = omega(state, partition)
+    stack = _stack_powers(one.entries, partition, max_power)
+    return [one] + [OmegaMatrix(partition, ell, mat) for ell, mat in enumerate(stack[1:], start=2)]
 
 
 def verify_congruence(
@@ -155,10 +155,10 @@ def verify_congruence(
 
     # P is invertible and the prefactor nonzero, so the RHS has the rank of
     # the original state's power l: only powers 1 and l need a spectrum
-    sigmas = singular_values(np.stack([stack[[0, -1]] for stack in stacks]))
+    sigmas = singular_values(np.stack([stack[sorted({0, ell - 1})] for stack in stacks]))
     with np.errstate(over="ignore"):  # an infinite floor reads the power as vanished
         floors = [_noise_floors(s, top, ell)[-1] for s, top in zip((moved, state), sigmas[:, 0, 0])]
-    if not _rank(sigmas[:, 1], floors).any():
+    if not _rank(sigmas[:, -1], floors).any():
         return CongruenceReport(alpha=alpha, beta=beta, residual=0.0)
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
     residual = float(np.max(np.abs(lhs - rhs)) / scale)

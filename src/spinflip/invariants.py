@@ -221,20 +221,27 @@ def _noise_floors(state: PureState, top: float, max_power: int) -> list[float]:
     return [NOISE_FLOOR * (norm * norm) * top**ell for ell in range(max_power)]
 
 
+def _spectra(states, partition: QubitPartition, max_power: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra (S, K, d) and noise floors (S, K) of powers 1..K of S states.
+    All S power stacks go to one singular_values call, which decomposes
+    each matrix on its own, so a state's spectra ignore its company."""
+    stacks = [_omega_powers(state, partition, max_power) for state in states]
+    # one stack goes as it is: the copy cost a three-qubit rank triple 2-3%
+    joined = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    sigmas = singular_values(joined).reshape(len(stacks), max_power, -1)
+    floors = [_noise_floors(state, sigma[0, 0], max_power) for state, sigma in zip(states, sigmas)]
+    return sigmas, np.array(floors)
+
+
 def _partition_invariants(
-    state: PureState,
-    partition: QubitPartition,
-    max_power: int = 3,
+    state: PureState, partition: QubitPartition, max_power: int = 3
 ) -> PartitionInvariants:
-    stack = _omega_powers(state, partition, max_power)
-    sigmas = singular_values(stack)
+    sigmas, floors = _spectra([state], partition, max_power)
     # Ranks are relative to each power's own top singular value (the
     # per-matrix convention; a scalar prefactor then cannot change the
     # count), and 0 at or below the noise floor.
-    floors = _noise_floors(state, sigmas[0, 0], max_power)
-    ranks = _rank(sigmas, np.array(floors))
-    profile = RankProfile(partition, tuple(ranks.tolist()))
-    return PartitionInvariants(profile, tuple(sigmas))
+    profile = RankProfile(partition, tuple(_rank(sigmas[0], floors[0]).tolist()))
+    return PartitionInvariants(profile, tuple(sigmas[0]))
 
 
 def rank_profile(
@@ -289,6 +296,13 @@ def odd_invariants(state: PureState) -> OddInvariants:
     )
 
 
+def _closed_forms(state: PureState) -> tuple[float | None, OddInvariants | None]:
+    """(concurrence, odd invariants), each None where n's parity has none."""
+    if state.n % 2 == 0:
+        return concurrence_even(state), None
+    return None, odd_invariants(state) if state.n >= 3 else None
+
+
 def three_qubit_S(state: PureState) -> float:
     """Square root of the six-minor sum; the doubled singular value of the
     rows {1,2} power-1 matrix of a three-qubit state."""
@@ -318,17 +332,5 @@ def invariant_profile(
     if partitions is None:
         partitions = [QubitPartition(default_rows(state.n), state.n)]
     per_partition = tuple(_partition_invariants(state, p, max_power) for p in partitions)
-    concurrence = odd = s_value = None
-    if state.n % 2 == 0:
-        concurrence = concurrence_even(state)
-    elif state.n >= 3:
-        odd = odd_invariants(state)
-    if state.n == 3:
-        s_value = three_qubit_S(state)
-    return InvariantProfile(
-        n=state.n,
-        partitions=per_partition,
-        concurrence=concurrence,
-        odd=odd,
-        s_value=s_value,
-    )
+    return InvariantProfile(state.n, per_partition, *_closed_forms(state),
+                            three_qubit_S(state) if state.n == 3 else None)

@@ -129,17 +129,21 @@ class Gaussian:
         return complex(float(self.re), float(self.im))
 
 
-def exact_omega_power(amps, n: int, rows, ell: int) -> np.ndarray:
-    """oracle_omega_power over Python numbers (object arrays), so it is
-    exact for int or Gaussian amplitudes."""
+def exact_omega_powers(amps, n: int, rows, max_power: int) -> list[np.ndarray]:
+    """Powers 1..max_power of oracle_omega_power over Python numbers
+    (object arrays), so they are exact for int or Gaussian amplitudes."""
     cmat = oracle_coeff_matrix(amps, n, rows, dtype=object)
     col_kernel = oracle_kernel(n - len(rows)).astype(int).astype(object)
     row_kernel = oracle_kernel(len(rows)).astype(int).astype(object)
-    base = cmat @ col_kernel @ cmat.T
-    out = base
-    for _ in range(ell - 1):
-        out = out @ row_kernel @ base
-    return out
+    powers = [cmat @ col_kernel @ cmat.T]
+    for _ in range(max_power - 1):
+        powers.append(powers[-1] @ row_kernel @ powers[0])
+    return powers
+
+
+def exact_omega_power(amps, n: int, rows, ell: int) -> np.ndarray:
+    """Power ell alone of exact_omega_powers."""
+    return exact_omega_powers(amps, n, rows, ell)[-1]
 
 
 def exact_rank(mat) -> int:

@@ -38,6 +38,7 @@ from spinflip.classify import COMPARE_TOL, THREE_QUBIT_LABELS, _TRIPLES
 from spinflip.invariants import _partition_invariants
 
 import helpers
+import oracles
 
 RT2 = math.sqrt(2.0)
 P12_3 = QubitPartition((1, 2), 3)
@@ -117,6 +118,16 @@ def test_slocc_compare_two_qubits_reuses_class_ranks(monkeypatch):
     calls = helpers.count_svd_calls(monkeypatch)
     assert slocc_compare(bell, moved).relation == "not-distinguished"
     assert calls == [(3, 2, 2)] * 2
+
+
+def test_slocc_compare_sends_both_states_to_one_svd_per_partition(monkeypatch):
+    # from four qubits up, each partition decomposes both states' power
+    # stacks in one call: rows {1} (2 x 2), then the default rows {1,2}
+    state = random_state(4, 6960)
+    moved = apply_local(state, random_local(4, "invertible", 6961))
+    calls = helpers.count_svd_calls(monkeypatch)
+    assert slocc_compare(state, moved).relation == "not-distinguished"
+    assert calls == [(6, 2, 2), (6, 4, 4)]
 
 
 def test_classify_two_concurrence_sweep():
@@ -758,3 +769,35 @@ def test_slocc_compare_rejects_a_zero_state(n):
     assert slocc_compare(tiniest, standard_state("zeros", n)).relation == "not-distinguished"
     for a, b in ((tiniest, ghz), (ghz, tiniest)):
         assert slocc_compare(a, b).relation == "inequivalent"
+
+
+def test_slocc_compare_matches_exact_rank_signatures():
+    # Gaussian-integer SLOCC images of the integer class seeds are exact
+    # floats, so a pair reads not-distinguished exactly when its exact rank
+    # signatures (rows {1} then {1,2}, powers 1..3) agree, and a ranks
+    # witness carries the exact ranks of the first partition that differs
+    rows_order = ((1,), (1, 2))
+    relations = []
+    for n in (4, 5):
+        images, signatures = [], []
+        for k, seed in enumerate(oracles.integer_class_seeds(n).values()):
+            for trial in range(2):
+                factors = oracles.gaussian_integer_factors(n, 8500 + 10 * n + 2 * k + trial)
+                image = oracles.exact_apply_local(seed, factors)
+                images.append(PureState(n, image.astype(complex)))
+                signatures.append([
+                    tuple(oracles.exact_rank(m) for m in oracles.exact_omega_powers(image, n, rows, 3))
+                    for rows in rows_order
+                ])
+        for i, j in itertools.combinations(range(len(images)), 2):
+            verdict = slocc_compare(images[i], images[j])
+            relations.append(verdict.relation)
+            differ = [k for k in range(2) if signatures[i][k] != signatures[j][k]]
+            if not differ:
+                assert verdict.relation == "not-distinguished", (n, i, j)
+                continue
+            k = differ[0]
+            assert verdict.witness == Witness(
+                "ranks", signatures[i][k], signatures[j][k], rows=rows_order[k]
+            ), (n, i, j)
+    assert 8 <= relations.count("not-distinguished") < len(relations)

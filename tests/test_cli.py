@@ -122,6 +122,34 @@ def test_gen_source_validation(capsys):
     assert run(["gen", "--acin", "a,b,c,d,e"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--acin", "1,0,0,0,0", "--n", "5"], "--n"),
+    (["--state", "ghz", "--n", "3", "--seed", "1"], "--seed"),
+    (["--acin", "1,0,0,0,0", "--seed", "1"], "--seed"),
+    (["--random", "--n", "3", "--phi", "1"], "--phi"),
+    (["--state", "ghz", "--n", "3", "--phi", "0"], "--phi"),
+])
+def test_gen_refuses_options_its_source_ignores(argv, flag, capsys):
+    code, out, err = run(["gen", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert flag in err
+
+
+# numpy refuses these stack shapes before it allocates anything
+@pytest.mark.parametrize("command", [
+    ["invariants", "{ghz3}", "--max-power", str(2**62)],
+    ["compare-lu", "{ghz3}", "{ghz3}", "--max-power", str(2**62)],
+    ["verify-congruence", "{ghz3}", "{op}", "--power", str(10**20)],
+])
+def test_unallocatable_power_stack_exits_2(command, states, tmp_path, capsys):
+    op_path = tmp_path / "u.json"
+    op_path.write_text(serialize_operator(random_local(3, "unitary", 13)))
+    argv = [arg.format(op=op_path, **states) for arg in command]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "max_power" in err and "cannot be allocated" in err
+
+
 @pytest.mark.parametrize("weights", ["nan,0,0,0,0", "1,0,0,0,inf", "1,0,nan,0,0"])
 def test_gen_rejects_non_finite_weights(weights, capsys):
     code, out, err = run(["gen", "--acin", weights], capsys)

@@ -304,6 +304,19 @@ def test_power_one_checked_once_per_sequence(monkeypatch):
     assert built == [1, 1]
 
 
+def test_congruence_decomposes_powers_one_and_ell_once(monkeypatch):
+    # one stacked SVD of both sides' powers 1 and l; at l = 1 that is one
+    # matrix per side, not power 1 twice
+    state = standard_state("ghz", 3)
+    op = random_local(3, "invertible", 4210)
+    part = QubitPartition((1, 2), 3)
+    calls = helpers.count_svd_calls(monkeypatch)
+    for ell, shape in ((1, (2, 1, 4, 4)), (3, (2, 2, 4, 4))):
+        calls.clear()
+        assert verify_congruence(state, op, part, ell).residual < 1e-12
+        assert calls == [shape]
+
+
 def test_power_validation():
     state = random_state(2, 3)
     part = QubitPartition((1,), 2)
