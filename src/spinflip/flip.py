@@ -89,8 +89,8 @@ def _stack_powers(
     try:
         stack = np.empty((max_power,) + base.shape, dtype=complex)
     except (ValueError, MemoryError) as exc:
-        raise ValidationError(f"max_power = {max_power} powers of d x d matrices, "
-                              f"d = {len(base)}, cannot be allocated: {exc}") from exc
+        raise ValidationError(f"{max_power} powers of d x d matrices, d = {len(base)}, "
+                              f"cannot be allocated: {exc}") from exc
     stack[0] = base
     for ell in range(1, max_power):
         np.matmul(_times_kernel(stack[ell - 1], partition.size), base, out=stack[ell])

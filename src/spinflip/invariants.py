@@ -52,26 +52,17 @@ _OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openbla
 
 @functools.cache
 def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None
-    when none is found (MKL, Accelerate, or no /proc/self/maps)."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split(maxsplit=5)[-1].strip()
-                            for line in maps if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in _OPENBLAS_SYMBOLS:
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+    """(get, set) of the thread count of the OpenBLAS numpy's LAPACK module
+    links, or None when it links none (MKL, Accelerate)."""
+    # a symbol lookup on a loaded library also searches the libraries it links
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix, suffix in _OPENBLAS_SYMBOLS:
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
     return None
 
 
@@ -82,8 +73,8 @@ class _SerialBlas:
     process: the first caller in saves the count and sets 1, the last
     caller out restores it. Concurrent callers neither wait on each other
     nor leave the process at one thread; BLAS calls that other threads make
-    meanwhile also run on one thread. Without an OpenBLAS the block runs
-    unchanged.
+    meanwhile also run on one thread. Enter it only when _openblas_threads()
+    found an OpenBLAS.
     """
 
     def __init__(self):
@@ -93,9 +84,8 @@ class _SerialBlas:
 
     def __enter__(self):
         with self._lock:
-            threads = _openblas_threads()
-            if threads is not None and self._inside == 0:
-                get, put = threads
+            if self._inside == 0:
+                get, put = _openblas_threads()
                 self._saved = get()
                 put(1)
             self._inside += 1
@@ -103,9 +93,8 @@ class _SerialBlas:
     def __exit__(self, *exc_info):
         with self._lock:
             self._inside -= 1
-            threads = _openblas_threads()
-            if threads is not None and self._inside == 0:
-                threads[1](self._saved)
+            if self._inside == 0:
+                _openblas_threads()[1](self._saved)
 
 
 _SERIAL_BLAS = _SerialBlas()
@@ -113,14 +102,15 @@ _SERIAL_BLAS = _SerialBlas()
 
 def singular_values(m) -> np.ndarray:
     """Singular values of a complex matrix, or of each matrix in a stack,
-    descending along the last axis. Matrices up to 2^(MAX_QUBITS // 2)
-    wide are decomposed on one BLAS thread, so their spectra do not depend
-    on the host's core count."""
+    descending along the last axis. On an OpenBLAS, matrices up to
+    2^(MAX_QUBITS // 2) wide are decomposed on one thread, so their spectra
+    do not depend on the host's core count."""
     mat = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(mat)):
         raise ValidationError("matrix has non-finite entries")
     shape = mat.shape[-2:]
-    if math.prod(shape) <= _SERIAL_SVD_MIN_ENTRIES or min(shape) > _SERIAL_SVD_WIDTH:
+    if (math.prod(shape) <= _SERIAL_SVD_MIN_ENTRIES or min(shape) > _SERIAL_SVD_WIDTH
+            or _openblas_threads() is None):
         return np.linalg.svd(mat, compute_uv=False)
     with _SERIAL_BLAS:
         return np.linalg.svd(mat, compute_uv=False)
@@ -131,8 +121,6 @@ def _rank(sigma: np.ndarray, floor) -> np.ndarray:
     0 when the top singular value is at or below the noise floor, else the
     count above RANK_TOL relative to the top value. floor broadcasts
     against the leading axes."""
-    if sigma.shape[-1] == 0:
-        return np.zeros(sigma.shape[:-1], dtype=int)
     top = sigma[..., :1]
     counts = np.sum(sigma > RANK_TOL * top, axis=-1)
     return np.where(top[..., 0] > floor, counts, 0)

@@ -216,6 +216,26 @@ def test_classify_three_slocc_stability():
         assert classify_three(moved).label == label, f"trial {i} from {label}"
 
 
+def test_classify_three_labels_exact_images():
+    # Gaussian-integer SLOCC images of integer seeds of all six classes:
+    # their floats are the exact states, so the label is the seed's and the
+    # local ranks are the exact ranks of the single-qubit coefficient matrices
+    seeds = oracles.integer_class_seeds(3)
+    seeds["B-AC"] = [int(i in (0, 0b101)) for i in range(8)]
+    seeds["C-AB"] = [int(i in (0, 0b110)) for i in range(8)]
+    assert sorted(seeds) == sorted(THREE_QUBIT_LABELS)
+    for k, (label, seed) in enumerate(seeds.items()):
+        for trial in range(5):
+            factors = oracles.gaussian_integer_factors(3, 9100 + 5 * k + trial)
+            image = oracles.exact_apply_local(seed, factors)
+            got = classify_three(PureState(3, image.astype(complex)))
+            assert got.label == label, (label, trial)
+            assert got.local_ranks == tuple(
+                oracles.exact_rank(oracles.oracle_coeff_matrix(image, 3, (q,), dtype=object))
+                for q in (1, 2, 3)
+            ), (label, trial)
+
+
 def test_classify_acin_table_rows():
     ghz_form = AcinForm(0.5, 0.5, 0.5, 0.4, 0.3)
     label, triple, s = classify_acin(ghz_form)
@@ -742,6 +762,9 @@ def test_slocc_compare_decides_by_ranks_alone(monkeypatch):
 
     monkeypatch.setattr("spinflip.classify.concurrence_even", unreachable)
     monkeypatch.setattr("spinflip.classify.odd_invariants", unreachable)
+    # invariants._closed_forms reads its own module's names
+    monkeypatch.setattr("spinflip.invariants.concurrence_even", unreachable)
+    monkeypatch.setattr("spinflip.invariants.odd_invariants", unreachable)
     orbit_pairs = []
     for n in (2, 4, 5, 6):
         state = random_state(n, 7500 + n)

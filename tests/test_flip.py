@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinflip import (
+    CongruenceReport,
     LocalOperator,
     OmegaMatrix,
     PureState,
@@ -327,6 +328,11 @@ def test_power_validation():
         omega_power_sequence(state, part, 0)
     with pytest.raises(ValidationError):
         _omega_powers(state, part, 0)
+    with pytest.raises(ValidationError, match="power must be >= 1, got 0"):
+        OmegaMatrix(part, 0, omega(state, part).entries)
+    for residual in (-1.0, math.nan):
+        with pytest.raises(ValidationError, match="residual must be >= 0"):
+            CongruenceReport(alpha=1.0, beta=1.0, residual=residual)
 
 
 def test_parity_symmetry_property():

@@ -176,6 +176,28 @@ def test_serial_scope_restores_after_concurrent_calls(svd_spy, blas_threads):
     assert _SERIAL_BLAS._inside == 0
 
 
+def test_openblas_found_without_proc(monkeypatch, blas_threads):
+    # the lookup goes through numpy's own LAPACK module, so a host whose
+    # /proc cannot be read still finds the OpenBLAS numpy's SVD calls
+    real_open = open
+
+    def no_proc(file, *args, **kwargs):
+        if str(file).startswith("/proc"):
+            raise PermissionError(f"{file} cannot be read")
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", no_proc)
+    _openblas_threads.cache_clear()
+    try:
+        threads = _openblas_threads()
+    finally:
+        _openblas_threads.cache_clear()
+    assert threads is not None
+    get, put = threads
+    put(1)
+    assert get() == blas_threads[0]() == 1
+
+
 @pytest.mark.parametrize("n, rows, width", [(14, 7, 128), (12, 6, 64), (3, 2, 4)])
 def test_spectra_up_to_128_wide_do_not_depend_on_the_thread_count(blas_threads, n, rows, width):
     # threaded OpenBLAS sums in another order: at n = 14 the two counts gave

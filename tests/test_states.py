@@ -123,6 +123,10 @@ def test_standard_state_ghz_any_n():
     for n in (2, 5, 10):
         ghz = standard_state("ghz", n)
         assert ghz.amplitudes[0] == ghz.amplitudes[-1] == pytest.approx(1 / RT2)
+    # without n, ghz and w are the three-qubit states
+    for name in ("ghz", "w"):
+        assert standard_state(name).n == 3
+        assert np.array_equal(standard_state(name).amplitudes, standard_state(name, 3).amplitudes)
 
 
 def test_standard_state_errors():
@@ -436,6 +440,8 @@ def test_operator_serialization_round_trip():
 
 
 def test_parse_operator_errors():
+    with pytest.raises(ValidationError, match="operator file is not valid JSON"):
+        parse_operator("{")
     with pytest.raises(ValidationError):
         parse_operator("[]")
     with pytest.raises(ValidationError):
