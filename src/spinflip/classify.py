@@ -224,6 +224,8 @@ def lu_compare(
     """
     if a.n != b.n:
         raise ValidationError(f"states have different sizes: {a.n} vs {b.n}")
+    if max_power < 1:  # checked here, or a closed-form verdict would skip it
+        raise ValidationError(f"max_power must be >= 1, got {max_power}")
     _require_normalized(a, "lu_compare")
     _require_normalized(b, "lu_compare")
     (ca, oa), (cb, ob) = _closed_forms(a), _closed_forms(b)

@@ -8,6 +8,7 @@ index. Entry (r, c) is the amplitude whose index combines those bits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,17 +26,23 @@ class QubitPartition:
     n: int
 
     def __post_init__(self):
-        rows = tuple(int(q) for q in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if not 1 <= len(rows) <= self.n - 1:
+        try:
+            rows, n = tuple(operator.index(q) for q in self.rows), operator.index(self.n)
+        except TypeError:
             raise ValidationError(
-                f"partition must pick between 1 and n-1 qubits, got {len(rows)} of {self.n}"
+                f"qubit labels and n must be integers, got {self.rows!r} of {self.n!r}"
+            ) from None
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "n", n)
+        if not 1 <= len(rows) <= n - 1:
+            raise ValidationError(
+                f"partition must pick between 1 and n-1 qubits, got {len(rows)} of {n}"
             )
         if len(set(rows)) != len(rows):
             raise ValidationError(f"row qubits must be distinct, got {rows}")
         for q in rows:
-            if not 1 <= q <= self.n:
-                raise ValidationError(f"qubit label {q} out of range 1..{self.n}")
+            if not 1 <= q <= n:
+                raise ValidationError(f"qubit label {q} out of range 1..{n}")
 
     @property
     def size(self) -> int:

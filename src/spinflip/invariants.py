@@ -11,6 +11,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -66,38 +67,11 @@ def _openblas_threads():
     return None
 
 
-class _SerialBlas:
-    """Runs the enclosed block with OpenBLAS on one thread.
-
-    The thread count is process-wide, so this scope is one object per
-    process: the first caller in saves the count and sets 1, the last
-    caller out restores it. Concurrent callers neither wait on each other
-    nor leave the process at one thread; BLAS calls that other threads make
-    meanwhile also run on one thread. Enter it only when _openblas_threads()
-    found an OpenBLAS.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._inside = 0
-        self._saved = None
-
-    def __enter__(self):
-        with self._lock:
-            if self._inside == 0:
-                get, put = _openblas_threads()
-                self._saved = get()
-                put(1)
-            self._inside += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._inside -= 1
-            if self._inside == 0:
-                _openblas_threads()[1](self._saved)
-
-
-_SERIAL_BLAS = _SerialBlas()
+# OpenBLAS's thread count is process-wide: each scoped SVD holds this lock
+# while it runs at one thread, so the saved count is always the caller's
+_SERIAL_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):  # a child forked mid-SVD would inherit it held
+    os.register_at_fork(after_in_child=_SERIAL_LOCK._at_fork_reinit)
 
 
 def singular_values(m) -> np.ndarray:
@@ -112,8 +86,14 @@ def singular_values(m) -> np.ndarray:
     if (math.prod(shape) <= _SERIAL_SVD_MIN_ENTRIES or min(shape) > _SERIAL_SVD_WIDTH
             or _openblas_threads() is None):
         return np.linalg.svd(mat, compute_uv=False)
-    with _SERIAL_BLAS:
-        return np.linalg.svd(mat, compute_uv=False)
+    get, put = _openblas_threads()
+    with _SERIAL_LOCK:
+        saved = get()
+        put(1)
+        try:
+            return np.linalg.svd(mat, compute_uv=False)
+        finally:
+            put(saved)
 
 
 def _rank(sigma: np.ndarray, floor) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain
@@ -48,6 +49,10 @@ def _norm(amps: np.ndarray) -> float:
 
 
 def _require_qubits(n: int) -> None:
+    try:
+        operator.index(n)
+    except TypeError:
+        raise ValidationError(f"n must be an integer, got {n!r}") from None
     if not 1 <= n <= MAX_QUBITS:
         raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {n}")
 

@@ -421,6 +421,13 @@ def test_lu_compare_validation():
     lopsided = PureState(2, np.array([2.0, 0, 0, 0], dtype=complex))
     with pytest.raises(ValidationError):
         lu_compare(standard_state("bell"), lopsided)
+    # refused even where the closed forms alone would decide the verdict
+    ghz, w = standard_state("ghz", 3), standard_state("w", 3)
+    assert lu_compare(ghz, w).witness.kind == "ntangle"
+    for a, b in ((ghz, w), (ghz, ghz)):
+        for max_power in (0, -5):
+            with pytest.raises(ValidationError, match=f"max_power must be >= 1, got {max_power}"):
+                lu_compare(a, b, max_power=max_power)
 
 
 def test_slocc_compare_ghz_w():

@@ -152,6 +152,15 @@ def test_unallocatable_power_stack_exits_2(command, states, tmp_path, capsys):
     assert "max_power" not in err
 
 
+# GHZ3 against W3 is decided by a closed form, GHZ3 against itself by spectra
+@pytest.mark.parametrize("b", ["w3", "ghz3"])
+@pytest.mark.parametrize("power", ["0", "-5"])
+def test_compare_lu_refuses_powers_below_one(b, power, states, capsys):
+    code, out, err = run(["compare-lu", states["ghz3"], states[b], "--max-power", power], capsys)
+    assert (code, out) == (2, "")
+    assert ">= 1" in err
+
+
 @pytest.mark.parametrize("weights", ["nan,0,0,0,0", "1,0,0,0,inf", "1,0,nan,0,0"])
 def test_gen_rejects_non_finite_weights(weights, capsys):
     code, out, err = run(["gen", "--acin", weights], capsys)

@@ -46,6 +46,11 @@ def test_partition_validation():
         QubitPartition((0,), 3)
     with pytest.raises(ValidationError):
         QubitPartition((4,), 3)
+    # labels and n are integers, never truncated
+    for rows, n in (((1.9, 2.7), 3), ((1,), 3.0), (("1",), 3), (1, 3)):
+        with pytest.raises(ValidationError, match="must be integers"):
+            QubitPartition(rows, n)
+    assert QubitPartition((np.int64(2),), np.int64(3)) == QubitPartition((2,), 3)
 
 
 def test_row_qubit_one_layout():

@@ -1,9 +1,13 @@
 """Tests for ranks, singular values, determinants, and closed forms."""
 
 import dataclasses
+import itertools
 import math
+import os
+import signal
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -37,7 +41,7 @@ from spinflip.flip import _omega_powers
 from spinflip.invariants import (
     NOISE_FLOOR,
     RANK_TOL,
-    _SERIAL_BLAS,
+    _SERIAL_LOCK,
     _openblas_threads,
     _partition_invariants,
     _peak_scaled,
@@ -140,7 +144,7 @@ def test_serial_scope_restores_after_an_exception(monkeypatch, blas_threads):
     with pytest.raises(np.linalg.LinAlgError):
         singular_values(_complex_stack((3, 128, 128)))
     assert get() == 2
-    assert _SERIAL_BLAS._inside == 0
+    assert not _SERIAL_LOCK.locked()
 
 
 def test_serial_scope_restores_after_concurrent_calls(svd_spy, blas_threads):
@@ -173,7 +177,32 @@ def test_serial_scope_restores_after_concurrent_calls(svd_spy, blas_threads):
     assert errors == []
     assert svd_spy == [1] * 200
     assert get() == 2
-    assert _SERIAL_BLAS._inside == 0
+    assert not _SERIAL_LOCK.locked()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_child_forked_while_the_scope_is_held_runs_a_scoped_svd(blas_threads):
+    stack = _complex_stack((3, 128, 128))
+    with warnings.catch_warnings():
+        # forking a process that runs threads warns; the test forks on purpose
+        warnings.simplefilter("ignore", DeprecationWarning)
+        with _SERIAL_LOCK:
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    singular_values(stack)
+                    code = 0
+                finally:
+                    os._exit(code)
+    deadline = time.monotonic() + 30
+    while (reaped := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child deadlocked on the SVD lock")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(reaped[1]) == 0
 
 
 def test_openblas_found_without_proc(monkeypatch, blas_threads):
@@ -548,6 +577,23 @@ def test_rank_profile_invariant_under_invertible():
         before = rank_profile(state, part, 3).ranks
         after = rank_profile(apply_local(state, op), part, 3).ranks
         assert before == after
+
+
+def test_rank_profile_matches_exact_ranks_on_every_partition():
+    # a Gaussian-integer SLOCC image of an integer class seed is an exact
+    # float state, so on each of the 14 row subsets at n = 4 the float ranks
+    # of powers 1..3 must be the exact ones
+    n, profiles = 4, set()
+    for k, seed in enumerate(oracles.integer_class_seeds(n).values()):
+        image = oracles.exact_apply_local(seed, oracles.gaussian_integer_factors(n, 8600 + k))
+        state = PureState(n, image.astype(complex))
+        for size in range(1, n):
+            for rows in itertools.combinations(range(1, n + 1), size):
+                powers = oracles.exact_omega_powers(image, n, rows, 3)
+                exact = tuple(oracles.exact_rank(m) for m in powers)
+                assert rank_profile(state, QubitPartition(rows, n), 3).ranks == exact, (k, rows)
+                profiles.add(exact)
+    assert len(profiles) > 2  # the cases span more than full and zero rank
 
 
 def test_closed_form_ranges():

@@ -191,6 +191,9 @@ def test_pure_state_validation():
         PureState(0, np.ones(1, dtype=complex))
     with pytest.raises(ValidationError):
         PureState(15, np.zeros(2**15, dtype=complex))
+    for n in (3.0, 2.5, "3"):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            PureState(n, np.ones(8, dtype=complex))
 
 
 @pytest.mark.parametrize("n", range(1, 15))
