@@ -14,18 +14,17 @@ import numpy as np
 
 from .coeffmat import QubitPartition, _local_ranks, coeff_matrix
 from .errors import ToleranceInconsistency, ValidationError
+from .flip import _require_power
 from .invariants import (
     RANK_TOL,
     RankProfile,
     _closed_forms,
-    _partition_invariants,
     _rank,
     _require_normalized,
     _spectra,
     concurrence_even,
     default_rows,
     odd_invariants,
-    rank_profile,
     singular_values,
     three_qubit_S,
 )
@@ -104,23 +103,6 @@ class FamilyLabel:
             )
 
 
-def classify_two(state: PureState) -> SloccClass:
-    """Two-qubit classes: the power-1 matrix has rank 2 (entangled) or 0.
-    The powers 1..3 ranks ride along as evidence."""
-    if state.n != 2:
-        raise ValidationError("classify_two requires exactly 2 qubits")
-    ranks = rank_profile(state, QubitPartition((1,), 2), 3).ranks
-    rank = ranks[0]
-    if rank == 2:
-        return SloccClass("entangled", ranks)
-    if rank == 0:
-        return SloccClass("product", ranks)
-    raise ToleranceInconsistency(
-        f"two-qubit power-1 matrix has rank {rank}; expected 0 or 2",
-        details={"rank": rank, "tol": RANK_TOL},
-    )
-
-
 _TRIPLES = {
     "GHZ": (2, 2, 2),
     "W": (2, 1, 0),
@@ -134,22 +116,21 @@ _TRIPLES = {
 _SEPARATED = {(1,): "A-BC", (2,): "B-AC", (3,): "C-AB", (1, 2, 3): "A-B-C"}
 
 
-def classify_three(state: PureState) -> SloccClass:
-    """Six-class SLOCC classification of a three-qubit state.
+def _two_qubit_class(ranks: tuple[int, ...]) -> SloccClass:
+    """The two-qubit class of the powers 1..3 ranks of rows {1}."""
+    rank = ranks[0]
+    if rank == 2:
+        return SloccClass("entangled", ranks)
+    if rank == 0:
+        return SloccClass("product", ranks)
+    raise ToleranceInconsistency(
+        f"two-qubit power-1 matrix has rank {rank}; expected 0 or 2",
+        details={"rank": rank, "tol": RANK_TOL},
+    )
 
-    The single-qubit local ranks name the qubits that factor out: none
-    (all at 2) for GHZ and W, which the rank triple then tells apart; one
-    for the biseparable classes and all three for the product class, whose
-    triples (2,0,0)/(0,0,0) are shared. The triple and the local ranks must
-    tell a consistent story or the input sits on a rank boundary.
-    """
-    if state.n != 3:
-        raise ValidationError("classify_three requires exactly 3 qubits")
-    # the triple and the local ranks read the ray at the exact peak scale
-    state = _peak_scaled(state)
-    inv = _partition_invariants(state, QubitPartition((1, 2), 3), 3)
-    triple = inv.rank_profile.ranks
-    local = _local_ranks(state)
+
+def _three_qubit_class(triple: tuple[int, ...], local: tuple[int, ...]) -> SloccClass:
+    """The three-qubit class of the rows {1,2} rank triple and the local ranks."""
     if local == (2, 2, 2):
         label = {_TRIPLES["GHZ"]: "GHZ", _TRIPLES["W"]: "W"}.get(triple)
     else:
@@ -165,6 +146,47 @@ def classify_three(state: PureState) -> SloccClass:
             details={"triple": triple, "local_ranks": local, "label": label},
         )
     return SloccClass(label, triple, local)
+
+
+def _ranks(states, partition: QubitPartition) -> list[tuple[int, ...]]:
+    """The powers 1..3 ranks of each state, from one SVD call."""
+    sigmas, floors = _spectra(states, partition, 3)
+    return [RankProfile(partition, tuple(r.tolist())).ranks for r in _rank(sigmas, floors)]
+
+
+def _classes(states) -> list[SloccClass]:
+    """SLOCC classes of two- or three-qubit states from one pass: the ranks
+    of every state's default rows from one SVD call and, for three qubits,
+    every single-qubit local rank from one more. The ranks read each ray at
+    its exact peak scale."""
+    states = [_peak_scaled(state) for state in states]
+    n = states[0].n
+    ranks = _ranks(states, QubitPartition(default_rows(n), n))
+    if n == 2:
+        return [_two_qubit_class(r) for r in ranks]
+    return [_three_qubit_class(r, local) for r, local in zip(ranks, _local_ranks(states))]
+
+
+def classify_two(state: PureState) -> SloccClass:
+    """Two-qubit classes: the power-1 matrix has rank 2 (entangled) or 0.
+    The powers 1..3 ranks ride along as evidence."""
+    if state.n != 2:
+        raise ValidationError("classify_two requires exactly 2 qubits")
+    return _classes([state])[0]
+
+
+def classify_three(state: PureState) -> SloccClass:
+    """Six-class SLOCC classification of a three-qubit state.
+
+    The single-qubit local ranks name the qubits that factor out: none
+    (all at 2) for GHZ and W, which the rank triple then tells apart; one
+    for the biseparable classes and all three for the product class, whose
+    triples (2,0,0)/(0,0,0) are shared. The triple and the local ranks must
+    tell a consistent story or the input sits on a rank boundary.
+    """
+    if state.n != 3:
+        raise ValidationError("classify_three requires exactly 3 qubits")
+    return _classes([state])[0]
 
 
 def _acin_tree(form: AcinForm) -> str:
@@ -224,8 +246,8 @@ def lu_compare(
     """
     if a.n != b.n:
         raise ValidationError(f"states have different sizes: {a.n} vs {b.n}")
-    if max_power < 1:  # checked here, or a closed-form verdict would skip it
-        raise ValidationError(f"max_power must be >= 1, got {max_power}")
+    # checked here, or a closed-form verdict would skip it
+    max_power = _require_power(max_power, "max_power")
     _require_normalized(a, "lu_compare")
     _require_normalized(b, "lu_compare")
     (ca, oa), (cb, ob) = _closed_forms(a), _closed_forms(b)
@@ -271,18 +293,15 @@ def slocc_compare(a: PureState, b: PureState) -> CompareVerdict:
     """
     if a.n != b.n:
         raise ValidationError(f"states have different sizes: {a.n} vs {b.n}")
-    classify = {2: classify_two, 3: classify_three}.get(a.n)
-    if classify is not None:
-        la, lb = classify(a), classify(b)
+    if a.n in (2, 3):
+        la, lb = _classes([a, b])
         if la != lb:
             return CompareVerdict("inequivalent", Witness("class", la.label, lb.label))
         return CompareVerdict("not-distinguished")
     # the ranks read each ray at its peak scale, as rank_profile does
     pair = (_peak_scaled(a), _peak_scaled(b))
     for rows in ((1,), default_rows(a.n)):
-        partition = QubitPartition(rows, a.n)
-        sigmas, floors = _spectra(pair, partition, 3)
-        ra, rb = (RankProfile(partition, tuple(r.tolist())).ranks for r in _rank(sigmas, floors))
+        ra, rb = _ranks(pair, QubitPartition(rows, a.n))
         if ra != rb:
             return CompareVerdict("inequivalent", Witness("ranks", ra, rb, rows=rows))
     return CompareVerdict("not-distinguished")

@@ -14,16 +14,43 @@ column-qubit determinants.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
-from .coeffmat import QubitPartition, coeff_matrix
+from .coeffmat import QubitPartition, _coeff_matrices
 from .errors import ValidationError
 from .states import LocalOperator, PureState, _frozen, _peak_scaled, apply_local, parity_signs
 
 SYMMETRY_ATOL = 1e-12
+
+
+def _require_power(value, name: str) -> int:
+    """value as a power count: an integer >= 1."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _require_power_one(mats: np.ndarray, partition: QubitPartition) -> None:
+    """Refuse power-1 matrices (a (..., d, d) stack) that break their parity
+    symmetry: symmetric for even n-i, skew-symmetric for odd n-i."""
+    sign = -1.0 if (partition.n - partition.size) % 2 else 1.0
+    entries = mats.shape[-1] ** 2
+    defect = np.abs(mats.swapaxes(-1, -2) - sign * mats).reshape(-1, entries).max(axis=1)
+    scale = np.abs(mats).reshape(-1, entries).max(axis=1)
+    bad = defect > SYMMETRY_ATOL * np.maximum(scale, 1.0)
+    if bad.any():
+        kind = "skew-symmetric" if sign < 0 else "symmetric"
+        raise ValidationError(
+            f"power-1 matrix fails its {kind} invariant: defect {defect[bad][0]:.3e}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,15 +65,7 @@ class OmegaMatrix:
         mat = _frozen(self.entries, (2**self.partition.size,) * 2, "entries")
         object.__setattr__(self, "entries", mat)
         if self.power == 1:
-            # power 1 is symmetric for even n-i, skew-symmetric for odd n-i
-            sign = -1.0 if (self.partition.n - self.partition.size) % 2 else 1.0
-            defect = np.max(np.abs(mat.T - sign * mat))
-            scale = max(float(np.max(np.abs(mat))), 1.0)
-            if defect > SYMMETRY_ATOL * scale:
-                kind = "skew-symmetric" if sign < 0 else "symmetric"
-                raise ValidationError(
-                    f"power-1 matrix fails its {kind} invariant: defect {defect:.3e}"
-                )
+            _require_power_one(mat, self.partition)
 
 
 @dataclass(frozen=True)
@@ -63,56 +82,50 @@ class CongruenceReport:
 
 
 def _times_kernel(mat: np.ndarray, k: int) -> np.ndarray:
-    """mat @ v^{(x)k} without materializing the kernel.
+    """mat @ v^{(x)k} without materializing the kernel, for a matrix or a
+    stack of them.
 
     v^{(x)k} has a single nonzero per row: entry (j, 2^k-1-j) with sign
     (-1)^{parity(j)}, so M v^{(x)k} = M[:, ::-1] * signs with
     signs[c] = (-1)^{parity(2^k-1-c)}, the reversed parity table.
     """
-    return mat[:, ::-1] * parity_signs(k)[::-1]
+    return mat[..., ::-1] * parity_signs(k)[::-1]
 
 
-def omega(state: PureState, partition: QubitPartition) -> OmegaMatrix:
-    """Power-1 spin-flipping matrix C v^{(x)(n-i)} C^T."""
-    cmat = coeff_matrix(state, partition)
-    return OmegaMatrix(partition, 1, _times_kernel(cmat, state.n - partition.size) @ cmat.T)
-
-
-def _stack_powers(
-    base: np.ndarray, partition: QubitPartition, max_power: int
-) -> np.ndarray:
-    """Powers 1..max_power of the power-1 matrix base as one read-only
-    (max_power, d, d) stack. Each later row is written in place by the
-    recursion, so the whole stack can go to LAPACK in one call."""
-    if max_power < 1:
-        raise ValidationError(f"max_power must be >= 1, got {max_power}")
+def _power_stacks(states, partition: QubitPartition, max_power: int) -> np.ndarray:
+    """Powers 1..max_power of S states' spin-flipping matrices as one
+    read-only (S, max_power, d, d) array, from one batched recursion.
+    Power 1 is checked for its parity symmetry; each later power is
+    written in place, so the whole array can go to LAPACK in one call, and
+    each state's rows are the same bit for bit alone or in a batch."""
+    max_power = _require_power(max_power, "max_power")
+    cmats = _coeff_matrices(states, partition)
+    base = _times_kernel(cmats, partition.n - partition.size) @ cmats.swapaxes(-1, -2)
+    _require_power_one(base, partition)
     try:
-        stack = np.empty((max_power,) + base.shape, dtype=complex)
+        stack = np.empty((len(base), max_power) + base.shape[1:], dtype=complex)
     except (ValueError, MemoryError) as exc:
-        raise ValidationError(f"{max_power} powers of d x d matrices, d = {len(base)}, "
+        raise ValidationError(f"{max_power} powers of d x d matrices, d = {base.shape[-1]}, "
                               f"cannot be allocated: {exc}") from exc
-    stack[0] = base
+    stack[:, 0] = base
     for ell in range(1, max_power):
-        np.matmul(_times_kernel(stack[ell - 1], partition.size), base, out=stack[ell])
+        np.matmul(_times_kernel(stack[:, ell - 1], partition.size), base, out=stack[:, ell])
     stack.setflags(write=False)
     return stack
 
 
-def _omega_powers(
-    state: PureState, partition: QubitPartition, max_power: int
-) -> np.ndarray:
-    """The power stack with row 0 from omega(), which checks power 1."""
-    return _stack_powers(omega(state, partition).entries, partition, max_power)
+def omega(state: PureState, partition: QubitPartition) -> OmegaMatrix:
+    """Power-1 spin-flipping matrix C v^{(x)(n-i)} C^T."""
+    return OmegaMatrix(partition, 1, _power_stacks([state], partition, 1)[0, 0])
 
 
 def omega_power_sequence(
     state: PureState, partition: QubitPartition, max_power: int
 ) -> list[OmegaMatrix]:
-    """Powers 1..max_power from one pass of the recursion: omega() itself
-    as power 1, checked once, then a copy of each later stack row."""
-    one = omega(state, partition)
-    stack = _stack_powers(one.entries, partition, max_power)
-    return [one] + [OmegaMatrix(partition, ell, mat) for ell, mat in enumerate(stack[1:], start=2)]
+    """Powers 1..max_power from one pass of the recursion, a copy of each
+    stack row."""
+    stack = _power_stacks([state], partition, max_power)[0]
+    return [OmegaMatrix(partition, ell, mat) for ell, mat in enumerate(stack, start=1)]
 
 
 def verify_congruence(
@@ -135,8 +148,7 @@ def verify_congruence(
 
     if partition.n != state.n or op.n != state.n:
         raise ValidationError("state, operator, and partition sizes must agree")
-    if ell < 1:
-        raise ValidationError(f"power must be >= 1, got {ell}")
+    ell = _require_power(ell, "power")
     state = _peak_scaled(state)
     dets = op.determinants()
     alpha = complex(np.prod([dets[q - 1] for q in partition.rows]))
@@ -144,18 +156,18 @@ def verify_congruence(
     p_mat = reduce(np.kron, [op.factors[q - 1] for q in partition.rows])
     moved = apply_local(state, op)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        stacks = [_omega_powers(s, partition, ell) for s in (moved, state)]
+        stacks = _power_stacks([moved, state], partition, ell)
         try:
             prefactor = alpha ** (ell - 1) * beta**ell
         except OverflowError:
             prefactor = np.inf
-        lhs, rhs = stacks[0][-1], prefactor * (p_mat @ stacks[1][-1] @ p_mat.T)
+        lhs, rhs = stacks[0, -1], prefactor * (p_mat @ stacks[1, -1] @ p_mat.T)
     if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
         raise ValidationError(f"power {ell} puts the congruence sides out of floating-point range")
 
     # P is invertible and the prefactor nonzero, so the RHS has the rank of
     # the original state's power l: only powers 1 and l need a spectrum
-    sigmas = singular_values(np.stack([stack[sorted({0, ell - 1})] for stack in stacks]))
+    sigmas = singular_values(stacks[:, sorted({0, ell - 1})])
     with np.errstate(over="ignore"):  # an infinite floor reads the power as vanished
         floors = [_noise_floors(s, top, ell)[-1] for s, top in zip((moved, state), sigmas[:, 0, 0])]
     if not _rank(sigmas[:, -1], floors).any():

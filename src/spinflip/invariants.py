@@ -19,7 +19,7 @@ import numpy as np
 
 from .coeffmat import QubitPartition
 from .errors import ToleranceInconsistency, ValidationError
-from .flip import _omega_powers
+from .flip import _power_stacks
 from .states import MAX_QUBITS, PureState, _norm, _peak_scaled, parity_signs
 
 # the one rank threshold: a singular value counts toward the rank when it
@@ -191,12 +191,11 @@ def _noise_floors(state: PureState, top: float, max_power: int) -> list[float]:
 
 def _spectra(states, partition: QubitPartition, max_power: int) -> tuple[np.ndarray, np.ndarray]:
     """Spectra (S, K, d) and noise floors (S, K) of powers 1..K of S states.
-    All S power stacks go to one singular_values call, which decomposes
-    each matrix on its own, so a state's spectra ignore its company."""
-    stacks = [_omega_powers(state, partition, max_power) for state in states]
-    # one stack goes as it is: the copy cost a three-qubit rank triple 2-3%
-    joined = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-    sigmas = singular_values(joined).reshape(len(stacks), max_power, -1)
+    All S power stacks come from one recursion and go to one
+    singular_values call as one (S*K, d, d) stack; LAPACK decomposes each
+    matrix on its own, so a state's spectra ignore its company."""
+    stacks = _power_stacks(states, partition, max_power)
+    sigmas = singular_values(stacks.reshape((-1,) + stacks.shape[2:])).reshape(stacks.shape[:3])
     floors = [_noise_floors(state, sigma[0, 0], max_power) for state, sigma in zip(states, sigmas)]
     return sigmas, np.array(floors)
 

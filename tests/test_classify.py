@@ -117,7 +117,7 @@ def test_slocc_compare_two_qubits_reuses_class_ranks(monkeypatch):
     moved = apply_local(bell, random_local(2, "invertible", 6950))
     calls = helpers.count_svd_calls(monkeypatch)
     assert slocc_compare(bell, moved).relation == "not-distinguished"
-    assert calls == [(3, 2, 2)] * 2
+    assert calls == [(6, 2, 2)]
 
 
 def test_slocc_compare_sends_both_states_to_one_svd_per_partition(monkeypatch):
@@ -428,6 +428,8 @@ def test_lu_compare_validation():
         for max_power in (0, -5):
             with pytest.raises(ValidationError, match=f"max_power must be >= 1, got {max_power}"):
                 lu_compare(a, b, max_power=max_power)
+        with pytest.raises(ValidationError, match="max_power must be an integer, got 2.5"):
+            lu_compare(a, b, max_power=2.5)
 
 
 def test_slocc_compare_ghz_w():
@@ -625,6 +627,21 @@ LABEL_LOCAL_RANKS = {
 }
 
 
+def test_slocc_compare_is_the_label_comparison_on_seed_orbits():
+    # both states are classified in one pass; the verdict and witness are
+    # those of comparing the labels each state gets alone
+    for n, classify, seeds in ((2, classify_two, TWO_QUBIT_SEEDS),
+                               (3, classify_three, helpers.class_seeds())):
+        orbit = [apply_local(seed, random_local(n, "invertible", 9700 + 10 * k + j))
+                 for k, seed in enumerate(seeds.values()) for j in range(3)]
+        labels = [classify(state).label for state in orbit]
+        assert set(labels) == set(seeds)
+        for (a, la), (b, lb) in itertools.product(zip(orbit, labels), repeat=2):
+            want = (CompareVerdict("not-distinguished") if la == lb
+                    else CompareVerdict("inequivalent", Witness("class", la, lb)))
+            assert slocc_compare(a, b) == want
+
+
 @given(
     family=st.sampled_from([
         "GHZ + eps W", "W + eps|111>", "|000> + eps|111>",
@@ -762,7 +779,7 @@ def test_slocc_verdict_picks_one_seed_along_ghz4(k):
 
 
 def test_slocc_compare_decides_by_ranks_alone(monkeypatch):
-    # no closed form and no det: two value-only SVDs per classify_three
+    # no closed form and no det: two value-only SVDs classify both states
     # for n = 3, stacked rank profiles from n = 4 up
     def unreachable(state):
         raise AssertionError("slocc_compare reached a closed form")
@@ -780,7 +797,7 @@ def test_slocc_compare_decides_by_ranks_alone(monkeypatch):
     calls = helpers.count_linalg_calls(monkeypatch)
     verdict = slocc_compare(standard_state("ghz", 3), standard_state("w", 3))
     assert verdict.witness == Witness("class", "GHZ", "W")
-    assert len(calls["svd"]) == 4
+    assert len(calls["svd"]) == 2
     assert all(compute_uv is False for _, compute_uv in calls["svd"])
     for state, moved, product in orbit_pairs:
         assert slocc_compare(state, moved).relation == "not-distinguished"

@@ -15,6 +15,7 @@ from spinflip import (
     QubitPartition,
     ValidationError,
     apply_local,
+    invariant_profile,
     omega,
     omega_power_sequence,
     random_local,
@@ -23,7 +24,7 @@ from spinflip import (
     standard_state,
     verify_congruence,
 )
-from spinflip.flip import _omega_powers, _times_kernel
+from spinflip.flip import _power_stacks, _require_power_one, _times_kernel
 from spinflip.states import parity_signs
 
 import helpers
@@ -253,7 +254,7 @@ def test_omega_power_sequence_matches_the_stack():
     for n in range(3, 7):
         state = random_state(n, 4100 + n)
         part = helpers.random_partition(rng, n)
-        stack = _omega_powers(state, part, 4)
+        stack = _power_stacks([state], part, 4)[0]
         seq = omega_power_sequence(state, part, 4)
         assert stack.shape == (4,) + seq[0].entries.shape
         assert not stack.flags.writeable
@@ -280,7 +281,7 @@ def test_omega_matrix_copies_the_callers_array():
 
 
 def test_power_one_checked_once_per_sequence(monkeypatch):
-    # power 1's symmetry check runs once per sequence, on stack row 0
+    # one OmegaMatrix per power of a sequence, each a copy of a stack row
     built = []
     post_init = OmegaMatrix.__post_init__
 
@@ -295,14 +296,22 @@ def test_power_one_checked_once_per_sequence(monkeypatch):
         built.clear()
         seq = omega_power_sequence(state, part, max_power)
         assert built == list(range(1, max_power + 1))
-        stack = _omega_powers(state, part, max_power)
+        stack = _power_stacks([state], part, max_power)[0]
         for ell, item in enumerate(seq, start=1):
             assert np.array_equal(item.entries, stack[ell - 1])
             assert not item.entries.flags.writeable
+    # verify_congruence checks both states' power 1 in one batch
+    checked = []
+
+    def recording(mats, partition):
+        checked.append(mats.shape)
+        _require_power_one(mats, partition)
+
+    monkeypatch.setattr("spinflip.flip._require_power_one", recording)
     op = random_local(4, "invertible", 4201)
     built.clear()
     assert verify_congruence(state, op, part, 1).residual < 1e-10
-    assert built == [1, 1]
+    assert (built, checked) == ([], [(2, 4, 4)])
 
 
 def test_congruence_decomposes_powers_one_and_ell_once(monkeypatch):
@@ -327,7 +336,18 @@ def test_power_validation():
     with pytest.raises(ValidationError):
         omega_power_sequence(state, part, 0)
     with pytest.raises(ValidationError):
-        _omega_powers(state, part, 0)
+        _power_stacks([state], part, 0)
+    # a non-integer power is refused, not truncated or left to numpy
+    ghz3, w3 = standard_state("ghz", 3), standard_state("w", 3)
+    op3 = random_local(3, "unitary", 5)
+    for call in (
+        lambda: rank_profile(ghz3, QubitPartition((1, 2), 3), 2.5),
+        lambda: invariant_profile(w3, None, 2.5),
+        lambda: verify_congruence(w3, op3, QubitPartition((1,), 3), 2.5),
+        lambda: omega_power_sequence(w3, QubitPartition((1,), 3), 2.5),
+    ):
+        with pytest.raises(ValidationError, match="must be an integer, got 2.5"):
+            call()
     with pytest.raises(ValidationError, match="power must be >= 1, got 0"):
         OmegaMatrix(part, 0, omega(state, part).entries)
     for residual in (-1.0, math.nan):

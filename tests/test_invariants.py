@@ -37,7 +37,8 @@ from spinflip import (
     standard_state,
     three_qubit_S,
 )
-from spinflip.flip import _omega_powers
+from spinflip.coeffmat import _local_ranks
+from spinflip.flip import _power_stacks
 from spinflip.invariants import (
     NOISE_FLOOR,
     RANK_TOL,
@@ -46,6 +47,7 @@ from spinflip.invariants import (
     _partition_invariants,
     _peak_scaled,
     _rank,
+    _spectra,
 )
 
 import helpers
@@ -234,7 +236,7 @@ def test_spectra_up_to_128_wide_do_not_depend_on_the_thread_count(blas_threads, 
     _, put = blas_threads
     part = QubitPartition(tuple(range(1, rows + 1)), n)
     for seed in range(3):
-        stack = _omega_powers(random_state(n, seed), part, 3)
+        stack = _power_stacks([random_state(n, seed)], part, 3)[0]
         assert stack.shape == (3, width, width)
         spectra = []
         for count in (1, 2):
@@ -672,6 +674,37 @@ def test_stacked_spectra_bit_identical_to_per_power():
             for got, om in zip(inv.singular_values, seq):
                 assert got.ndim == 1
                 assert np.array_equal(got, singular_values(om.entries))
+
+
+def _batch_cases():
+    """Every partition for n = 2..8, each in ascending, reversed and one
+    random row order, then n = 14 rows 1..7."""
+    rng = np.random.default_rng(4350)
+    for n in range(2, 9):
+        for size in range(1, n):
+            for rows in itertools.combinations(range(1, n + 1), size):
+                for order in (rows, rows[::-1], tuple(rng.permutation(rows).tolist())):
+                    yield QubitPartition(order, n)
+    yield QubitPartition(tuple(range(1, 8)), 14)
+
+
+def test_spectra_do_not_depend_on_their_batch():
+    # one recursion and one SVD over a pair give each state, bit for bit,
+    # the spectra, floors and ranks it has alone; one gather and one SVD
+    # give it the same local ranks
+    for k, part in enumerate(_batch_cases()):
+        n = part.n
+        a = random_state(n, 4360 + k)
+        # a SLOCC image at its peak scale, as slocc_compare reads it
+        b = (_peak_scaled(apply_local(a, random_local(n, "invertible", 4361 + k))) if k % 2
+             else random_state(n, 4362 + k))
+        pair_sigmas, pair_floors = _spectra([a, b], part, 3)
+        for idx, state in enumerate((a, b)):
+            sigmas, floors = _spectra([state], part, 3)
+            assert pair_sigmas[idx].tobytes() == sigmas[0].tobytes()
+            assert pair_floors[idx].tobytes() == floors[0].tobytes()
+            assert np.array_equal(_rank(pair_sigmas[idx], pair_floors[idx]), _rank(sigmas[0], floors[0]))
+        assert _local_ranks([a, b]) == _local_ranks([a]) + _local_ranks([b])
 
 
 def test_rank_rule_vectorised_matches_rowwise():
