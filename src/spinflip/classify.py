@@ -17,9 +17,8 @@ from .errors import ToleranceInconsistency, ValidationError
 from .flip import _require_power
 from .invariants import (
     RANK_TOL,
-    RankProfile,
     _closed_forms,
-    _rank,
+    _partition_invariants,
     _require_normalized,
     _spectra,
     concurrence_even,
@@ -148,12 +147,6 @@ def _three_qubit_class(triple: tuple[int, ...], local: tuple[int, ...]) -> Slocc
     return SloccClass(label, triple, local)
 
 
-def _ranks(states, partition: QubitPartition) -> list[tuple[int, ...]]:
-    """The powers 1..3 ranks of each state, from one SVD call."""
-    sigmas, floors = _spectra(states, partition, 3)
-    return [RankProfile(partition, tuple(r.tolist())).ranks for r in _rank(sigmas, floors)]
-
-
 def _classes(states) -> list[SloccClass]:
     """SLOCC classes of two- or three-qubit states from one pass: the ranks
     of every state's default rows from one SVD call and, for three qubits,
@@ -161,7 +154,8 @@ def _classes(states) -> list[SloccClass]:
     its exact peak scale."""
     states = [_peak_scaled(state) for state in states]
     n = states[0].n
-    ranks = _ranks(states, QubitPartition(default_rows(n), n))
+    profiles = _partition_invariants(states, QubitPartition(default_rows(n), n))
+    ranks = [p.rank_profile.ranks for p in profiles]
     if n == 2:
         return [_two_qubit_class(r) for r in ranks]
     return [_three_qubit_class(r, local) for r, local in zip(ranks, _local_ranks(states))]
@@ -301,7 +295,8 @@ def slocc_compare(a: PureState, b: PureState) -> CompareVerdict:
     # the ranks read each ray at its peak scale, as rank_profile does
     pair = (_peak_scaled(a), _peak_scaled(b))
     for rows in ((1,), default_rows(a.n)):
-        ra, rb = _ranks(pair, QubitPartition(rows, a.n))
+        pa, pb = _partition_invariants(pair, QubitPartition(rows, a.n))
+        ra, rb = pa.rank_profile.ranks, pb.rank_profile.ranks
         if ra != rb:
             return CompareVerdict("inequivalent", Witness("ranks", ra, rb, rows=rows))
     return CompareVerdict("not-distinguished")

@@ -38,13 +38,13 @@ def _require_power(value, name: str) -> int:
     return value
 
 
-def _require_power_one(mats: np.ndarray, partition: QubitPartition) -> None:
+def _require_power_one(mats: np.ndarray, partition: QubitPartition, scale) -> None:
     """Refuse power-1 matrices (a (..., d, d) stack) that break their parity
-    symmetry: symmetric for even n-i, skew-symmetric for odd n-i."""
+    symmetry: symmetric for even n-i, skew-symmetric for odd n-i. scale,
+    one per matrix, is the magnitude its rounding error is relative to."""
     sign = -1.0 if (partition.n - partition.size) % 2 else 1.0
     entries = mats.shape[-1] ** 2
     defect = np.abs(mats.swapaxes(-1, -2) - sign * mats).reshape(-1, entries).max(axis=1)
-    scale = np.abs(mats).reshape(-1, entries).max(axis=1)
     bad = defect > SYMMETRY_ATOL * np.maximum(scale, 1.0)
     if bad.any():
         kind = "skew-symmetric" if sign < 0 else "symmetric"
@@ -60,12 +60,11 @@ class OmegaMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.power < 1:
-            raise ValidationError(f"power must be >= 1, got {self.power}")
+        object.__setattr__(self, "power", _require_power(self.power, "power"))
         mat = _frozen(self.entries, (2**self.partition.size,) * 2, "entries")
         object.__setattr__(self, "entries", mat)
         if self.power == 1:
-            _require_power_one(mat, self.partition)
+            _require_power_one(mat, self.partition, np.abs(mat).max())
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,10 @@ def _power_stacks(states, partition: QubitPartition, max_power: int) -> np.ndarr
     max_power = _require_power(max_power, "max_power")
     cmats = _coeff_matrices(states, partition)
     base = _times_kernel(cmats, partition.n - partition.size) @ cmats.swapaxes(-1, -2)
-    _require_power_one(base, partition)
+    # an entry sums amplitude products: its rounding scales with sum |a_i|^2
+    with np.errstate(over="ignore"):  # an overflowed scale refuses nothing
+        norms = np.sum(np.abs(cmats) ** 2, axis=(1, 2))
+    _require_power_one(base, partition, norms)
     try:
         stack = np.empty((len(base), max_power) + base.shape[1:], dtype=complex)
     except (ValueError, MemoryError) as exc:

@@ -136,19 +136,22 @@ class OddInvariants:
     e11: complex
     e12: complex
     e22: complex
-    delta: float
-    dee: float
-    t1: float
-    t2: float
-    ntangle: float
+    delta: float = field(init=False)
+    dee: float = field(init=False)
+    t1: float = field(init=False)
+    t2: float = field(init=False)
+    ntangle: float = field(init=False)
 
     def __post_init__(self):
-        t1_sq = (self.delta + math.sqrt(max(self.delta**2 - 4 * self.dee, 0.0))) / 2
-        t2_sq = (self.delta - math.sqrt(max(self.delta**2 - 4 * self.dee, 0.0))) / 2
-        if abs(self.t1**2 - t1_sq) > 1e-12 or abs(self.t2**2 - t2_sq) > 1e-12:
-            raise ValidationError("t1/t2 do not match delta and dee")
-        if abs(self.t1 * self.t2 - self.ntangle) > 1e-10:
-            raise ValidationError("t1*t2 does not match ntangle")
+        delta = 2 * abs(self.e12) ** 2 + abs(self.e11) ** 2 + abs(self.e22) ** 2
+        hyper = self.e11 * self.e22 - self.e12**2
+        dee, ntangle = abs(hyper) ** 2, abs(hyper)
+        t1 = math.sqrt((delta + math.sqrt(max(delta**2 - 4 * dee, 0.0))) / 2)
+        # t1 t2 = ntangle; the difference form of t2 cancels its digits away
+        t2 = ntangle / t1 if t1 else 0.0
+        derived = {"delta": delta, "dee": dee, "t1": t1, "t2": t2, "ntangle": ntangle}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,15 +203,15 @@ def _spectra(states, partition: QubitPartition, max_power: int) -> tuple[np.ndar
     return sigmas, np.array(floors)
 
 
-def _partition_invariants(
-    state: PureState, partition: QubitPartition, max_power: int = 3
-) -> PartitionInvariants:
-    sigmas, floors = _spectra([state], partition, max_power)
-    # Ranks are relative to each power's own top singular value (the
-    # per-matrix convention; a scalar prefactor then cannot change the
-    # count), and 0 at or below the noise floor.
-    profile = RankProfile(partition, tuple(_rank(sigmas[0], floors[0]).tolist()))
-    return PartitionInvariants(profile, tuple(sigmas[0]))
+def _partition_invariants(states, partition: QubitPartition,
+                          max_power: int = 3) -> list[PartitionInvariants]:
+    """Ranks and spectra of S states, one entry each, from one _spectra
+    call: the one place spectra become checked ranks. A rank counts against
+    its power's own top singular value, so a scalar prefactor cannot change
+    it, and is 0 at or below the power's noise floor."""
+    sigmas, floors = _spectra(states, partition, max_power)
+    return [PartitionInvariants(RankProfile(partition, tuple(ranks.tolist())), tuple(sigma))
+            for ranks, sigma in zip(_rank(sigmas, floors), sigmas)]
 
 
 def rank_profile(
@@ -218,8 +221,7 @@ def rank_profile(
 ) -> RankProfile:
     """Ranks of the power-1..max_power matrices, non-increasing by contract;
     properties of the ray, so any nonzero scale gives the same ranks."""
-    state = _peak_scaled(state)
-    return _partition_invariants(state, partition, max_power).rank_profile
+    return _partition_invariants([_peak_scaled(state)], partition, max_power)[0].rank_profile
 
 
 def concurrence_even(state: PureState) -> float:
@@ -250,17 +252,7 @@ def odd_invariants(state: PureState) -> OddInvariants:
     e11 = 2 * complex(np.sum(sq * lower[:quarter] * lower[::-1][:quarter]))
     e22 = 2 * complex(np.sum(sq * upper[:quarter] * upper[::-1][:quarter]))
     e12 = complex(np.sum(sh * lower * upper[::-1]))
-    delta = 2 * abs(e12) ** 2 + abs(e11) ** 2 + abs(e22) ** 2
-    hyper = e11 * e22 - e12**2
-    dee = abs(hyper) ** 2
-    ntangle = abs(hyper)
-    t1 = math.sqrt((delta + math.sqrt(max(delta**2 - 4 * dee, 0.0))) / 2)
-    # t1 t2 = ntangle; the difference form of t2 cancels its digits away
-    t2 = ntangle / t1 if t1 else 0.0
-    return OddInvariants(
-        e11=e11, e12=e12, e22=e22, delta=delta, dee=dee,
-        t1=t1, t2=t2, ntangle=ntangle,
-    )
+    return OddInvariants(e11, e12, e22)
 
 
 def _closed_forms(state: PureState) -> tuple[float | None, OddInvariants | None]:
@@ -298,6 +290,6 @@ def invariant_profile(
     _require_normalized(state, "invariant_profile")
     if partitions is None:
         partitions = [QubitPartition(default_rows(state.n), state.n)]
-    per_partition = tuple(_partition_invariants(state, p, max_power) for p in partitions)
+    per_partition = tuple(_partition_invariants([state], p, max_power)[0] for p in partitions)
     return InvariantProfile(state.n, per_partition, *_closed_forms(state),
                             three_qubit_S(state) if state.n == 3 else None)

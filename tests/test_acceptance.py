@@ -162,8 +162,8 @@ def test_criterion_5_rank_and_singular_value_invariance():
                 omega_power_sequence(rotated, partition, power)[-1].entries
             ))
             assert np.allclose(sa, sb, atol=1e-9), (i, power)
-        assert _partition_invariants(state, partition, 1).abs_dets[0] == pytest.approx(
-            _partition_invariants(rotated, partition, 1).abs_dets[0], abs=1e-9
+        assert _partition_invariants([state], partition, 1)[0].abs_dets[0] == pytest.approx(
+            _partition_invariants([rotated], partition, 1)[0].abs_dets[0], abs=1e-9
         )
 
 

@@ -85,9 +85,10 @@ def test_tracer_counts_and_restores():
         # call; a direct one keeps the det wrapper covered
         assert tracer.calls["kernel.det"] == 0
         np.linalg.det(np.eye(2))
-        # classify_three reaches neither omega nor _partition_invariants;
-        # direct calls keep both wrappers covered
-        assert tracer.calls["flip.omega"] == tracer.calls["invariants._partition_invariants"] == 0
+        # classify_three reaches _partition_invariants but not omega; direct
+        # calls keep both wrappers covered
+        assert tracer.calls["flip.omega"] == 0
+        assert tracer.calls["invariants._partition_invariants"] == 2
         spinflip.omega(standard_state("w", 3), QubitPartition((1, 2), 3))
         spinflip.invariant_profile(standard_state("w", 3))
         tracer.enabled = False
@@ -95,7 +96,7 @@ def test_tracer_counts_and_restores():
         tracer.uninstall()
     assert (spinflip.classify.classify_three, np.linalg.svd) == originals
     assert tracer.calls["classify.classify_three"] == 2
-    assert tracer.calls["invariants._partition_invariants"] == 1
+    assert tracer.calls["invariants._partition_invariants"] == 3
     assert tracer.calls["flip.omega"] == 1
     assert tracer.calls["kernel.svd"] == 5
     assert tracer.calls["kernel.det"] == 1

@@ -699,10 +699,10 @@ def test_spectral_routes_make_no_det_call(monkeypatch):
         assert classify_three(seed).label == label
         family_label(seed)
         lu_compare(seed, standard_state("w", 3))
-        _partition_invariants(seed, P12_3, 3)
+        _partition_invariants([seed], P12_3, 3)[0]
     for n in (2, 4, 5):
         state = random_state(n, 7400 + n)
-        _partition_invariants(state, QubitPartition((1,), n), 3)
+        _partition_invariants([state], QubitPartition((1,), n), 3)[0]
         lu_compare(state, state)
         family_label(state)
     assert calls["svd"] and calls["det"] == []

@@ -561,6 +561,19 @@ def test_verify_congruence_catches_a_corrupted_side(states, tmp_path, capsys, mo
     assert report["passed"] is False
 
 
+def test_verify_congruence_accepts_a_move_with_cancelling_entries(tmp_path, capsys):
+    # the moved state's power-1 entries cancel far below its norm^2; their
+    # rounding once read as a broken skew symmetry and exited 2
+    state_path, op_path = tmp_path / "r7.json", tmp_path / "op7.json"
+    gen = ["gen", "--random", "--n", "7", "--seed", "4743", "-o", str(state_path)]
+    assert run(gen, capsys)[0] == 0
+    op_path.write_text(serialize_operator(random_local(7, "invertible", 4744)))
+    argv = ["verify-congruence", str(state_path), str(op_path), "--rows", "3,2", "--power", "1"]
+    report = run_report(argv, capsys)
+    assert report["passed"] is True
+    assert report["residual"] < 1e-11
+
+
 def test_verify_congruence_power_zero_exits_2(states, tmp_path, capsys):
     op_path = tmp_path / "u.json"
     op_path.write_text(serialize_operator(random_local(3, "unitary", 12)))

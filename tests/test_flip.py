@@ -303,9 +303,9 @@ def test_power_one_checked_once_per_sequence(monkeypatch):
     # verify_congruence checks both states' power 1 in one batch
     checked = []
 
-    def recording(mats, partition):
+    def recording(mats, partition, scale):
         checked.append(mats.shape)
-        _require_power_one(mats, partition)
+        _require_power_one(mats, partition, scale)
 
     monkeypatch.setattr("spinflip.flip._require_power_one", recording)
     op = random_local(4, "invertible", 4201)
@@ -350,6 +350,8 @@ def test_power_validation():
             call()
     with pytest.raises(ValidationError, match="power must be >= 1, got 0"):
         OmegaMatrix(part, 0, omega(state, part).entries)
+    with pytest.raises(ValidationError, match="power must be an integer, got 2.5"):
+        OmegaMatrix(part, 2.5, omega(state, part).entries)
     for residual in (-1.0, math.nan):
         with pytest.raises(ValidationError, match="residual must be >= 0"):
             CongruenceReport(alpha=1.0, beta=1.0, residual=residual)
@@ -459,6 +461,20 @@ def test_congruence_reads_any_scale():
         scaled = PureState(3, scale * ghz.amplitudes)
         for ell in (1, 2, 3):
             assert verify_congruence(scaled, op, part, ell).residual < 1e-12
+
+
+def test_power_one_check_scales_with_the_state_norm():
+    # this operator moves a normalized state to norm^2 32,055, whose power-1
+    # entries cancel to max |Omega| 1.14: a defect of 4.2e-17 norm^2 is
+    # rounding, not a broken symmetry
+    state = random_state(7, 4743)
+    op = random_local(7, "invertible", 4744)
+    report = verify_congruence(state, op, QubitPartition((3, 2), 7), 1)
+    assert report.residual < 1e-11
+    # a peak of 1e155 overflows sum |a_i|^2, but no entry of this power 1,
+    # which must come out without a warning
+    lone = PureState(2, np.array([1e155, 0, 0, 0], dtype=complex))
+    assert not omega(lone, QubitPartition((1,), 2)).entries.any()
 
 
 def test_congruence_alpha_beta_are_det_products():

@@ -390,11 +390,12 @@ def test_odd_invariants_rejects_even_n():
 
 
 def test_odd_invariants_type_validation():
-    with pytest.raises(ValidationError):
-        OddInvariants(
-            e11=0j, e12=0.5 + 0j, e22=0j, delta=0.5, dee=1 / 16,
-            t1=0.9, t2=0.5, ntangle=0.25,
-        )
+    # e11, e12 and e22 are the only inputs; the rest is derived from them
+    odd = OddInvariants(0j, 0.5 + 0j, 0j)
+    assert (odd.delta, odd.dee, odd.t1, odd.t2, odd.ntangle) == (0.5, 1 / 16, 0.5, 0.5, 0.25)
+    for name in ("delta", "dee", "t1", "t2", "ntangle"):
+        with pytest.raises(TypeError):
+            OddInvariants(0j, 0.5 + 0j, 0j, **{name: 0.5})
 
 
 def test_three_qubit_s_examples():
@@ -438,20 +439,20 @@ def test_abs_det_ghz4_is_singular_value_product():
     part = QubitPartition((1, 2), 4)
     sigma = singular_values(omega(state, part).entries)
     assert np.allclose(sigma, [0.5, 0.5, 0, 0], atol=1e-15)
-    got = _partition_invariants(state, part, 1).abs_dets[0]
+    got = _partition_invariants([state], part, 1)[0].abs_dets[0]
     assert got == pytest.approx(float(np.prod(sigma)), abs=1e-15)
     assert got == 0.0
 
 
 def test_abs_det_zero_state():
     zeros = standard_state("zeros", 4)
-    assert _partition_invariants(zeros, QubitPartition((1, 2), 4), 1).abs_dets[0] == 0.0
+    assert _partition_invariants([zeros], QubitPartition((1, 2), 4), 1)[0].abs_dets[0] == 0.0
 
 
 def test_abs_det_matches_sigma_product():
     for seed in range(10):
         state = random_state(3, 3500 + seed)
-        got = _partition_invariants(state, P12_3, 1).abs_dets[0]
+        got = _partition_invariants([state], P12_3, 1)[0].abs_dets[0]
         sigma = singular_values(omega(state, P12_3).entries)
         assert got == pytest.approx(float(np.prod(sigma)), rel=1e-10, abs=1e-14)
 
@@ -474,7 +475,7 @@ def test_abs_dets_of_higher_powers_are_derived():
         for k in range(4):
             state = random_state(n, 3900 + 10 * n + k)
             part = helpers.random_partition(rng, n)
-            dets = _partition_invariants(state, part, 3).abs_dets
+            dets = _partition_invariants([state], part, 3)[0].abs_dets
             for ell in (2, 3):
                 power = omega_power_sequence(state, part, ell)[-1]
                 want = abs(np.linalg.det(power.entries))
@@ -484,7 +485,7 @@ def test_abs_dets_of_higher_powers_are_derived():
 def test_abs_det_la4_family():
     part = QubitPartition((1, 2), 4)
     for a in (0.8, 0.6 + 0.3j, 1.5 - 0.2j):
-        got = _partition_invariants(la4_state(a), part, 1).abs_dets[0]
+        got = _partition_invariants([la4_state(a)], part, 1)[0].abs_dets[0]
         assert got == pytest.approx(abs(a) ** 8, rel=1e-12)
 
 
@@ -542,8 +543,8 @@ def test_lu_invariance_of_singular_values_and_det():
             sa = singular_values(omega_power_sequence(state, part, ell)[-1].entries)
             sb = singular_values(omega_power_sequence(moved, part, ell)[-1].entries)
             assert np.allclose(sa, sb, atol=1e-9)
-        assert _partition_invariants(state, part, 1).abs_dets[0] == pytest.approx(
-            _partition_invariants(moved, part, 1).abs_dets[0], abs=1e-9
+        assert _partition_invariants([state], part, 1)[0].abs_dets[0] == pytest.approx(
+            _partition_invariants([moved], part, 1)[0].abs_dets[0], abs=1e-9
         )
 
 
@@ -563,8 +564,8 @@ def test_permuted_row_order_changes_nothing(case):
     # reordering the row qubits permutes the rows and columns of every
     # Omega^(l), which leaves ranks and singular values as they were
     state, ascending, permuted = case
-    a = _partition_invariants(state, QubitPartition(ascending, state.n), 3)
-    b = _partition_invariants(state, QubitPartition(permuted, state.n), 3)
+    a = _partition_invariants([state], QubitPartition(ascending, state.n), 3)[0]
+    b = _partition_invariants([state], QubitPartition(permuted, state.n), 3)[0]
     assert a.rank_profile.ranks == b.rank_profile.ranks
     for sa, sb in zip(a.singular_values, b.singular_values):
         np.testing.assert_allclose(sb, sa, rtol=0, atol=1e-12 * sa[0])
@@ -653,7 +654,7 @@ def test_partition_invariants_one_svd_call(monkeypatch, max_power):
     calls = helpers.count_svd_calls(monkeypatch)
     for state, part in helpers.state_partition_cases(6, max_n=6, seed=4200):
         calls.clear()
-        inv = _partition_invariants(state, part, max_power)
+        inv = _partition_invariants([state], part, max_power)[0]
         d = 2**part.size
         assert calls == [(max_power, d, d)]
         assert len(inv.singular_values) == len(inv.abs_dets) == max_power
@@ -669,7 +670,7 @@ def test_stacked_spectra_bit_identical_to_per_power():
                  helpers.random_partition(rng, n)]
         for k, part in enumerate(parts):
             state = random_state(n, 4300 + 10 * n + k)
-            inv = _partition_invariants(state, part, 3)
+            inv = _partition_invariants([state], part, 3)[0]
             seq = omega_power_sequence(state, part, 3)
             for got, om in zip(inv.singular_values, seq):
                 assert got.ndim == 1
@@ -690,8 +691,8 @@ def _batch_cases():
 
 def test_spectra_do_not_depend_on_their_batch():
     # one recursion and one SVD over a pair give each state, bit for bit,
-    # the spectra, floors and ranks it has alone; one gather and one SVD
-    # give it the same local ranks
+    # the spectra, floors and ranks it has alone, raw and through the checked
+    # route; one gather and one SVD give it the same local ranks
     for k, part in enumerate(_batch_cases()):
         n = part.n
         a = random_state(n, 4360 + k)
@@ -699,11 +700,15 @@ def test_spectra_do_not_depend_on_their_batch():
         b = (_peak_scaled(apply_local(a, random_local(n, "invertible", 4361 + k))) if k % 2
              else random_state(n, 4362 + k))
         pair_sigmas, pair_floors = _spectra([a, b], part, 3)
+        pair = _partition_invariants([a, b], part, 3)
         for idx, state in enumerate((a, b)):
             sigmas, floors = _spectra([state], part, 3)
             assert pair_sigmas[idx].tobytes() == sigmas[0].tobytes()
             assert pair_floors[idx].tobytes() == floors[0].tobytes()
             assert np.array_equal(_rank(pair_sigmas[idx], pair_floors[idx]), _rank(sigmas[0], floors[0]))
+            # a lone _partition_invariants call is this _spectra call, ranked
+            assert pair[idx].rank_profile.ranks == tuple(_rank(sigmas[0], floors[0]).tolist())
+            assert np.array(pair[idx].singular_values).tobytes() == sigmas[0].tobytes()
         assert _local_ranks([a, b]) == _local_ranks([a]) + _local_ranks([b])
 
 
