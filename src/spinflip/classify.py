@@ -32,8 +32,8 @@ from .states import AcinForm, PureState, _peak_scaled, acin_state
 THREE_QUBIT_LABELS = ("GHZ", "W", "A-BC", "B-AC", "C-AB", "A-B-C")
 TWO_QUBIT_LABELS = ("entangled", "product")
 
-# the one LU compare threshold, absolute on the closed forms and relative
-# on each power's spectra (see lu_compare)
+# the float slack of a closed form in [0, 1/2]: FamilyLabel's interval margin
+# and lu_compare's one threshold, there also relative on each power's spectra
 COMPARE_TOL = 1e-9
 
 
@@ -76,9 +76,6 @@ class CompareVerdict:
             raise ValidationError("inequivalent verdicts need a witness")
 
 
-_INTERVAL_SLOP = 1e-9
-
-
 @dataclass(frozen=True)
 class FamilyLabel:
     """LU family tag: kind F_c, F_g, or F_S plus the real family parameter."""
@@ -96,7 +93,7 @@ class FamilyLabel:
             # values, so 1/2 bounds it for every class of normalized
             # states; the product class is the one family S = 0
             upper = 0.0 if self.slocc_class == "A-B-C" else 0.5
-        if not -_INTERVAL_SLOP <= self.value <= upper + _INTERVAL_SLOP:
+        if not -COMPARE_TOL <= self.value <= upper + COMPARE_TOL:
             raise ValidationError(
                 f"{self.kind} value {self.value} outside [0, {upper}]"
             )

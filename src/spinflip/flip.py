@@ -24,7 +24,9 @@ from .coeffmat import QubitPartition, _coeff_matrices
 from .errors import ValidationError
 from .states import LocalOperator, PureState, _frozen, _peak_scaled, apply_local, parity_signs
 
-SYMMETRY_ATOL = 1e-12
+# a power-1 entry's rounding stays below NOISE_FLOOR * sum |a_i|^2: the bound
+# of the parity check and the base of each power's noise floor (rank 0 below)
+NOISE_FLOOR = 1e-12
 
 
 def _require_power(value, name: str) -> int:
@@ -45,7 +47,7 @@ def _require_power_one(mats: np.ndarray, partition: QubitPartition, scale) -> No
     sign = -1.0 if (partition.n - partition.size) % 2 else 1.0
     entries = mats.shape[-1] ** 2
     defect = np.abs(mats.swapaxes(-1, -2) - sign * mats).reshape(-1, entries).max(axis=1)
-    bad = defect > SYMMETRY_ATOL * np.maximum(scale, 1.0)
+    bad = defect > NOISE_FLOOR * np.maximum(scale, 1.0)
     if bad.any():
         kind = "skew-symmetric" if sign < 0 else "symmetric"
         raise ValidationError(
@@ -63,8 +65,6 @@ class OmegaMatrix:
         object.__setattr__(self, "power", _require_power(self.power, "power"))
         mat = _frozen(self.entries, (2**self.partition.size,) * 2, "entries")
         object.__setattr__(self, "entries", mat)
-        if self.power == 1:
-            _require_power_one(mat, self.partition, np.abs(mat).max())
 
 
 @dataclass(frozen=True)

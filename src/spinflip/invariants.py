@@ -19,16 +19,12 @@ import numpy as np
 
 from .coeffmat import QubitPartition
 from .errors import ToleranceInconsistency, ValidationError
-from .flip import _power_stacks
+from .flip import NOISE_FLOOR, _power_stacks
 from .states import MAX_QUBITS, PureState, _norm, _peak_scaled, parity_signs
 
 # the one rank threshold: a singular value counts toward the rank when it
 # exceeds this fraction of its spectrum's top value
 RANK_TOL = 1e-10
-
-# a power matrix whose top singular value falls below this fraction of its
-# a-priori magnitude is treated as accumulated rounding noise (rank 0)
-NOISE_FLOOR = 1e-12
 
 
 def default_rows(n: int) -> tuple[int, ...]:

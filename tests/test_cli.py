@@ -440,10 +440,14 @@ def test_tol_is_refused_where_no_rank_is_read(states, tmp_path, capsys):
         assert flag in err
 
 
-def test_compare_slocc_report(states, capsys):
-    report = run_report(["compare-slocc", states["ghz3"], states["w3"]], capsys)
-    assert report["relation"] == "inequivalent"
-    assert report["witness"] == {"kind": "class", "value_a": "GHZ", "value_b": "W"}
+@pytest.mark.parametrize("a, b, relation, witness", [
+    ("ghz3", "w3", "inequivalent", {"kind": "class", "value_a": "GHZ", "value_b": "W"}),
+    ("w3", "w3", "not-distinguished", None),
+], ids=["ghz3-w3", "w3-w3"])
+def test_compare_slocc_report(states, capsys, a, b, relation, witness):
+    report = run_report(["compare-slocc", states[a], states[b]], capsys)
+    assert report["relation"] == relation
+    assert report["witness"] == witness
 
 
 def test_family_report_three_qubits(states, capsys):

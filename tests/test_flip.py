@@ -369,15 +369,17 @@ def test_parity_symmetry_property():
 def test_omega_matrix_symmetry_enforced():
     part = QubitPartition((1,), 3)  # n - i = 2, so power 1 must be symmetric
     bad = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    with pytest.raises(ValidationError):
-        OmegaMatrix(part, 1, bad)
-    OmegaMatrix(part, 2, bad)  # higher powers carry no symmetry contract
+    # the parity check runs where power 1 is built, against the state's norm
+    with pytest.raises(ValidationError, match="fails its symmetric invariant"):
+        _require_power_one(bad[None], part, np.ones(1))
+    # a hand-built matrix carries no norm to judge it by: a plain record
+    assert np.array_equal(OmegaMatrix(part, 1, bad).entries, bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("power", [1, 2])
 def test_omega_matrix_rejects_non_finite_entries(power, bad):
-    # checked before power 1's symmetry test, which NaN passes and inf warns in
+    # refused as entries, without a warning, at any power
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="^entries must be finite$"):
@@ -471,6 +473,12 @@ def test_power_one_check_scales_with_the_state_norm():
     op = random_local(7, "invertible", 4744)
     report = verify_congruence(state, op, QubitPartition((3, 2), 7), 1)
     assert report.residual < 1e-11
+    # omega of the moved state passes the same check: its skew defect,
+    # 1.35e-12, is above 1e-12 max |Omega| but far below 1e-12 norm^2
+    moved = apply_local(state, op)
+    mat = omega(moved, QubitPartition((3, 2), 7)).entries
+    assert mat.shape == (4, 4)
+    assert 1e-12 < np.abs(mat + mat.T).max() < 1e-12 * np.sum(np.abs(moved.amplitudes) ** 2)
     # a peak of 1e155 overflows sum |a_i|^2, but no entry of this power 1,
     # which must come out without a warning
     lone = PureState(2, np.array([1e155, 0, 0, 0], dtype=complex))

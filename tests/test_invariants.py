@@ -582,6 +582,29 @@ def test_rank_profile_invariant_under_invertible():
         assert before == after
 
 
+def test_complementary_ranks_obey_the_ab_ba_bound():
+    # A = v_S C and B = v_c C^T give v_S Omega_S = AB and v_c Omega_{S^c} = BA,
+    # whose l-th powers have the ranks of power l; so rank Omega_{S^c}^(l+1)
+    # = rank B (AB)^l A <= rank Omega_S^(l), and the same with S and S^c
+    # swapped. Exact at every power; checked at the default powers, since
+    # from power 4 the float ranks break it
+    checked = 0
+    for n in range(3, 8):
+        subsets = [(1,) + rest for size in range(n - 1)
+                   for rest in itertools.combinations(range(2, n + 1), size)]
+        for k in range(6):
+            state = random_state(n, 1000 * n + k)
+            for s in (state, apply_local(state, random_local(n, "invertible", 500 + k))):
+                for rows in subsets:
+                    part = QubitPartition(rows, n)
+                    r = rank_profile(s, part, 3).ranks
+                    rc = rank_profile(s, QubitPartition(part.columns(), n), 3).ranks
+                    for ell in (1, 2):
+                        assert rc[ell] <= r[ell - 1] and r[ell] <= rc[ell - 1], (n, k, rows)
+                        checked += 2
+    assert checked == 5712
+
+
 def test_rank_profile_matches_exact_ranks_on_every_partition():
     # a Gaussian-integer SLOCC image of an integer class seed is an exact
     # float state, so on each of the 14 row subsets at n = 4 the float ranks
