@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .states import PureState
+from .states import PureState, _peak_scaled
 
 
 @dataclass(frozen=True)
@@ -116,4 +116,4 @@ def local_rank(state: PureState, qubit: int) -> int:
         raise ValidationError("local_rank needs at least 2 qubits")
     if not 1 <= qubit <= state.n:
         raise ValidationError(f"qubit label {qubit} out of range 1..{state.n}")
-    return _local_ranks([state])[0][qubit - 1]
+    return _local_ranks([_peak_scaled(state)])[0][qubit - 1]

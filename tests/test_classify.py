@@ -76,7 +76,7 @@ def test_classify_three_all_six_seeds():
 
 
 @pytest.mark.parametrize(
-    "scale", [1e-150, 1e-100, 1e-50, 1e50, 1e100, 1e150, 1e-310]
+    "scale", [1e-150, 1e-100, 1e-50, 1e50, 1e100, 1e150, 1e-310, 1e-320]
 )
 def test_classify_three_at_any_scale(scale):
     # a class is a property of the ray, subnormal amplitudes included

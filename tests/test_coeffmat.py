@@ -152,6 +152,16 @@ def test_local_rank_has_no_zero_state():
         assert [local_rank(tiniest, q) for q in (1, 2)] == [1, 1]
 
 
+def test_local_rank_of_a_subnormal_vector_is_a_property_of_its_ray():
+    # rounding to subnormals leaves this product vector with
+    # sigma_2 / sigma_1 = 1.8e-4; read at its raw scale, sigma_2 ~ 1.8e-324
+    # comes back 0 from the SVD, so the rank is read at the peak scale
+    tiny = PureState(2, np.kron([0.6, 0.8], [0.6, 0.8j]) * 1e-320)
+    exact = PureState(2, tiny.amplitudes * 2.0**1000)
+    for q in (1, 2):
+        assert local_rank(tiny, q) == local_rank(exact, q) == 2
+
+
 def test_local_rank_validation():
     state = standard_state("ghz", 3)
     with pytest.raises(ValidationError):
