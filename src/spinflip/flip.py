@@ -14,7 +14,6 @@ column-qubit determinants.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -22,7 +21,8 @@ import numpy as np
 
 from .coeffmat import QubitPartition, _coeff_matrices
 from .errors import ValidationError
-from .states import LocalOperator, PureState, _frozen, _peak_scaled, apply_local, parity_signs
+from .states import (LocalOperator, PureState, _frozen, _integer, _norm_scaled, apply_local,
+                     parity_signs)
 
 # a power-1 entry's rounding stays below NOISE_FLOOR * sum |a_i|^2: the bound
 # of the parity check and the base of each power's noise floor (rank 0 below)
@@ -31,10 +31,7 @@ NOISE_FLOOR = 1e-12
 
 def _require_power(value, name: str) -> int:
     """value as a power count: an integer >= 1."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    value = _integer(value, name)
     if value < 1:
         raise ValidationError(f"{name} must be >= 1, got {value}")
     return value
@@ -100,10 +97,9 @@ def _power_stacks(states, partition: QubitPartition, max_power: int) -> np.ndarr
     max_power = _require_power(max_power, "max_power")
     cmats = _coeff_matrices(states, partition)
     base = _times_kernel(cmats, partition.n - partition.size) @ cmats.swapaxes(-1, -2)
-    # an entry sums amplitude products: its rounding scales with sum |a_i|^2
-    with np.errstate(over="ignore"):  # an overflowed scale refuses nothing
-        norms = np.sum(np.abs(cmats) ** 2, axis=(1, 2))
-    _require_power_one(base, partition, norms)
+    # an entry sums amplitude products: its rounding scales with ||a||^2, a
+    # product of floats that reads inf on overflow, so refuses nothing
+    _require_power_one(base, partition, [state.norm() * state.norm() for state in states])
     try:
         stack = np.empty((len(base), max_power) + base.shape[1:], dtype=complex)
     except (ValueError, MemoryError) as exc:
@@ -140,7 +136,7 @@ def verify_congruence(
 
     LHS is the power-l matrix of the transformed state; RHS is
     alpha^(l-1) beta^l P Omega^(.l) P^T built from the original state, read
-    at its peak scale (both sides have degree 2l in it). When both states'
+    at its norm scale (both sides have degree 2l in it). When both states'
     power l has rank 0 by the rank rule's noise floor, both sides are
     rounding noise and the residual is 0.0; otherwise it is max |LHS - RHS|
     over the larger of max |LHS| and max |RHS|.
@@ -151,7 +147,7 @@ def verify_congruence(
     if partition.n != state.n or op.n != state.n:
         raise ValidationError("state, operator, and partition sizes must agree")
     ell = _require_power(ell, "power")
-    state = _peak_scaled(state)
+    state = _norm_scaled(state)
     dets = op.determinants()
     alpha = complex(np.prod([dets[q - 1] for q in partition.rows]))
     beta = complex(np.prod([dets[q - 1] for q in partition.columns()]))

@@ -20,7 +20,7 @@ import numpy as np
 from .coeffmat import QubitPartition
 from .errors import ToleranceInconsistency, ValidationError
 from .flip import NOISE_FLOOR, _power_stacks
-from .states import MAX_QUBITS, PureState, _norm, _peak_scaled, parity_signs
+from .states import MAX_QUBITS, PureState, _norm_scaled, parity_signs
 
 # the one rank threshold: a singular value counts toward the rank when it
 # exceeds this fraction of its spectrum's top value
@@ -184,7 +184,7 @@ def _noise_floors(state: PureState, top: float, max_power: int) -> list[float]:
     per step, so its rounding error stays orders below it. Power l at or
     below its floor is noise, of rank 0. The floor has power l's degree 2l
     in the state's scale, so any scale reads the ray."""
-    norm = _norm(state.amplitudes)
+    norm = state.norm()
     return [NOISE_FLOOR * (norm * norm) * top**ell for ell in range(max_power)]
 
 
@@ -217,7 +217,7 @@ def rank_profile(
 ) -> RankProfile:
     """Ranks of the power-1..max_power matrices, non-increasing by contract;
     properties of the ray, so any nonzero scale gives the same ranks."""
-    return _partition_invariants([_peak_scaled(state)], partition, max_power)[0].rank_profile
+    return _partition_invariants([_norm_scaled(state)], partition, max_power)[0].rank_profile
 
 
 def concurrence_even(state: PureState) -> float:

@@ -36,24 +36,16 @@ def parity_signs(bits: int) -> np.ndarray:
     return signs
 
 
-def _norm(amps: np.ndarray) -> float:
-    """2-norm of a finite amplitude vector. Each square is taken after
-    dividing by the peak magnitude, so none overflows or underflows; the
-    zero vector gives 0.0."""
-    mags = np.abs(amps)
-    peak = float(mags.max())
-    if not peak:
-        return peak
-    mags /= peak
-    return peak * math.sqrt(float(mags @ mags))
+def _integer(value, name: str) -> int:
+    """value through operator.index, so 2.5, 3.0 and "3" are refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _require_qubits(n: int) -> None:
-    try:
-        operator.index(n)
-    except TypeError:
-        raise ValidationError(f"n must be an integer, got {n!r}") from None
-    if not 1 <= n <= MAX_QUBITS:
+    if not 1 <= _integer(n, "n") <= MAX_QUBITS:
         raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {n}")
 
 
@@ -76,37 +68,44 @@ def _frozen(values, shape: tuple[int, ...], what: str) -> np.ndarray:
 class PureState:
     """Immutable pure state of n qubits.
 
-    `normalized` is measured, not passed: it says whether sum |a_i|^2 lies
-    within NORM_ATOL of 1. Every generator in this module produces
-    normalized states; nothing is silently renormalized. The zero vector is
-    no ray and is refused. == is identity.
+    norm() and `normalized` are measured once, here, not passed: the latter
+    says whether ||a||^2 lies within NORM_ATOL of 1. Every generator in this
+    module produces normalized states; nothing is silently renormalized. The
+    zero vector is no ray and is refused. == is identity.
     """
 
     n: int
     amplitudes: np.ndarray = field(repr=False)
     normalized: bool = field(init=False)
+    _norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         _require_qubits(self.n)
         object.__setattr__(self, "amplitudes", _frozen(self.amplitudes, (2**self.n,), "amplitudes"))
-        norm = _norm(self.amplitudes)
-        if not norm:
+        # squares of magnitudes over the peak neither overflow nor underflow
+        mags = np.abs(self.amplitudes)
+        peak = float(mags.max())
+        if not peak:
             raise ValidationError("amplitudes are all zero; a state needs a nonzero norm")
+        mags /= peak
+        norm = peak * math.sqrt(float(mags @ mags))
+        object.__setattr__(self, "_norm", norm)
         object.__setattr__(self, "normalized", abs(norm * norm - 1.0) <= NORM_ATOL)
 
     def norm(self) -> float:
-        return _norm(self.amplitudes)
+        return self._norm
 
 
-def _peak_scaled(state: PureState) -> PureState:
-    """An unnormalized state divided by 2^e, which puts its peak magnitude
-    in [1/2, 1). Omega^(l) scales as c^(2l), so raw extreme scales underflow
-    or overflow the recursion and its noise floors. ldexp keeps the division
-    exact and, unlike multiplying by 2.0**-e, cannot overflow for a
-    subnormal peak."""
+def _norm_scaled(state: PureState) -> PureState:
+    """An unnormalized state divided by 2^e, which puts its norm in
+    [1/2, 1). Omega^(l) scales as c^(2l), so raw extreme scales underflow
+    or overflow the recursion and its noise floors; at this scale
+    sigma_1(Omega^(1)) <= ||a||^2 < 1 bounds every power and every floor by
+    1. ldexp keeps the division exact and, unlike multiplying by 2.0**-e,
+    cannot overflow for a subnormal norm."""
     if state.normalized:
         return state
-    _, exp = math.frexp(float(np.max(np.abs(state.amplitudes))))
+    _, exp = math.frexp(state.norm())
     amps = state.amplitudes
     scaled = np.empty_like(amps)
     scaled.real = np.ldexp(amps.real, -exp)
@@ -221,6 +220,8 @@ def standard_state(name: str, n: int | None = None) -> PureState:
     three-qubit states given by canonical-form weights.
     """
     name = name.lower()
+    if n is not None:
+        n = _integer(n, "n")
     if name == "bell":
         if n not in (None, 2):
             raise ValidationError("bell is a two-qubit state")
@@ -285,7 +286,7 @@ def random_state(n: int, seed: int | None = None) -> PureState:
 
 
 def _rng(seed: int | None) -> np.random.Generator:
-    if seed is not None and seed < 0:
+    if seed is not None and _integer(seed, "seed") < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(seed)
 

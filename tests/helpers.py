@@ -56,6 +56,16 @@ def state_partition_cases(count, max_n=5, seed=7000):
     return cases
 
 
+def flat8():
+    """An unnormalized n = 8 state with ||a||^2 = 230.4 whose peak, 0.949,
+    already lies in [1/2, 1), and its normalized copy. Rows (1, 2, 3, 4)
+    read ranks (16, 16, 16, 16, 16, 15, ...) and 0 from power 42."""
+    rng = np.random.default_rng(1)
+    amps = 0.9 * rng.choice([-1.0, 1.0], 256) + 0.3j * rng.choice([-1.0, 1.0], 256)
+    flat = PureState(8, amps)
+    return flat, PureState(8, amps / flat.norm())
+
+
 def congruence_cases(count, seed=8000):
     """Seeded (state, operator, partition, power) trials covering
     n in {2,3,4}, powers 1..3, and both operator kinds."""

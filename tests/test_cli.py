@@ -10,7 +10,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from spinflip import LocalOperator, PureState, flip, parse_state, random_local, serialize_operator
+from spinflip import (LocalOperator, PureState, flip, parse_state, random_local, serialize_operator,
+                      serialize_state)
 from spinflip.cli import main
 
 import helpers
@@ -258,6 +259,36 @@ def test_huge_amplitudes_parse_and_classify_without_warnings(tmp_path, capsys):
         report = run_report(["classify", str(path)], capsys)
     assert report["class"] == "entangled"
     assert report["ranks"] == [2, 2, 2]
+
+
+def _flat8_file(tmp_path):
+    path = tmp_path / "flat8.json"
+    path.write_text(serialize_state(helpers.flat8()[0]))
+    return str(path)
+
+
+def test_flat_unnormalized_state_reports_high_powers_without_warnings(tmp_path, capsys):
+    # ||a||^2 = 230.4 with a peak in [1/2, 1): scaled by its peak, power 300
+    # overflowed with three RuntimeWarnings and exit 2
+    argv = ["invariants", _flat8_file(tmp_path), "--rows", "1,2,3,4", "--max-power", "300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    ranks = json.loads(out)["ranks"]
+    assert ranks[:6] == [16, 16, 16, 16, 16, 15]
+    assert ranks.index(0) == 41 and not any(ranks[41:])
+
+
+def test_verify_congruence_of_a_flat_unnormalized_state_at_power_300(tmp_path, capsys):
+    # only the operator can put a power out of range, and this one is unitary
+    op_path = tmp_path / "u8.json"
+    op_path.write_text(serialize_operator(random_local(8, "unitary", 7)))
+    argv = ["verify-congruence", _flat8_file(tmp_path), str(op_path),
+            "--rows", "1,2,3,4", "--power", "300"]
+    report = run_report(argv, capsys)
+    assert report["residual"] == 0.0
+    assert report["passed"] is True
 
 
 def test_classify_label_against_local_ranks_exits_3(tmp_path, capsys):

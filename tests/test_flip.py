@@ -486,6 +486,16 @@ def test_power_one_check_scales_with_the_state_norm():
     assert not omega(lone, QubitPartition((1,), 2)).entries.any()
 
 
+def test_congruence_of_a_flat_unnormalized_state_at_a_high_power():
+    # a unitary operator keeps every power in range, so the unnormalized
+    # state reads its normalized copy's residual, not an out-of-range power
+    flat, unit = helpers.flat8()
+    op = random_local(8, "unitary", 7)
+    part = QubitPartition((1, 2, 3, 4), 8)
+    assert verify_congruence(unit, op, part, 300).residual == 0.0
+    assert verify_congruence(flat, op, part, 300).residual == 0.0
+
+
 def test_congruence_alpha_beta_are_det_products():
     state = random_state(4, 41)
     op = random_local(4, "invertible", 42)

@@ -44,8 +44,8 @@ from spinflip.invariants import (
     RANK_TOL,
     _SERIAL_LOCK,
     _openblas_threads,
+    _norm_scaled,
     _partition_invariants,
-    _peak_scaled,
     _rank,
     _spectra,
 )
@@ -719,8 +719,8 @@ def test_spectra_do_not_depend_on_their_batch():
     for k, part in enumerate(_batch_cases()):
         n = part.n
         a = random_state(n, 4360 + k)
-        # a SLOCC image at its peak scale, as slocc_compare reads it
-        b = (_peak_scaled(apply_local(a, random_local(n, "invertible", 4361 + k))) if k % 2
+        # a SLOCC image at its norm scale, as slocc_compare reads it
+        b = (_norm_scaled(apply_local(a, random_local(n, "invertible", 4361 + k))) if k % 2
              else random_state(n, 4362 + k))
         pair_sigmas, pair_floors = _spectra([a, b], part, 3)
         pair = _partition_invariants([a, b], part, 3)
@@ -780,14 +780,24 @@ def test_rank_profile_scale_sweep(n, kind, seed, mantissa, k):
     assert rank_profile(scaled, part, 3).ranks == rank_profile(state, part, 3).ranks
 
 
-def test_peak_scaled_is_exact_and_handles_subnormal_peaks():
+def test_a_flat_unnormalized_state_reads_like_its_normalized_copy():
+    # scaled by its peak, which leaves ||a||^2 = 230.4, this state's high
+    # powers overflowed; scaled by its norm, every power stays below 1
+    flat, unit = helpers.flat8()
+    part = QubitPartition((1, 2, 3, 4), 8)
+    ranks = rank_profile(unit, part, 300).ranks
+    assert ranks[:6] == (16, 16, 16, 16, 16, 15)
+    assert ranks.index(0) == 41 and not any(ranks[41:])
+    assert rank_profile(flat, part, 300).ranks == ranks
+
+
+def test_norm_scaled_is_exact_and_handles_subnormal_norms():
     ghz = standard_state("ghz", 3)
     for scale in (1e-310, 3e-200, 1e250):
         raw = PureState(3, scale * (1 + 2j) * ghz.amplitudes)
-        out = _peak_scaled(raw)
-        peak = float(np.max(np.abs(out.amplitudes)))
-        assert 0.5 <= peak < 1.0
-        _, exp = math.frexp(float(np.max(np.abs(raw.amplitudes))))
+        out = _norm_scaled(raw)
+        assert 0.5 <= out.norm() < 1.0
+        _, exp = math.frexp(raw.norm())
         assert np.array_equal(out.amplitudes * 2.0**exp, raw.amplitudes)
         assert rank_profile(raw, P12_3, 3).ranks == (2, 2, 2)
-    assert _peak_scaled(ghz) is ghz
+    assert _norm_scaled(ghz) is ghz

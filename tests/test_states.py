@@ -40,14 +40,26 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 EYE2 = np.eye(2)
 
 
-@pytest.mark.parametrize("make", [
+SEEDED_GENERATORS = pytest.mark.parametrize("make", [
     lambda seed: random_state(3, seed),
     lambda seed: random_local(3, "unitary", seed),
     lambda seed: random_local(3, "invertible", seed),
 ], ids=["state", "unitary", "invertible"])
+
+
+@SEEDED_GENERATORS
 def test_random_generators_reject_negative_seeds(make):
     make(0)
     with pytest.raises(ValidationError, match="seed"):
+        make(-1)
+
+
+@SEEDED_GENERATORS
+def test_random_generators_reject_non_integer_seeds(make):
+    for seed in (2.5, "3"):
+        with pytest.raises(ValidationError, match=f"seed must be an integer, got {seed!r}"):
+            make(seed)
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
         make(-1)
 
 
@@ -140,6 +152,13 @@ def test_standard_state_errors():
         standard_state("ghz", 1)
     with pytest.raises(ValidationError):
         standard_state("zeros")
+
+
+@pytest.mark.parametrize("name", ["zeros", "ghz", "w", "bell", "xi"])
+def test_standard_state_refuses_a_non_integer_n(name):
+    for n in (2.0, 2.5):
+        with pytest.raises(ValidationError, match=f"n must be an integer, got {n}"):
+            standard_state(name, n)
 
 
 def test_acin_state_slot_mapping():
