@@ -27,7 +27,7 @@ from .invariants import (
     singular_values,
     three_qubit_S,
 )
-from .states import AcinForm, PureState, _norm_scaled, acin_state
+from .states import AcinForm, PureState, acin_state
 
 THREE_QUBIT_LABELS = ("GHZ", "W", "A-BC", "B-AC", "C-AB", "A-B-C")
 TWO_QUBIT_LABELS = ("entangled", "product")
@@ -147,9 +147,7 @@ def _three_qubit_class(triple: tuple[int, ...], local: tuple[int, ...]) -> Slocc
 def _classes(states) -> list[SloccClass]:
     """SLOCC classes of two- or three-qubit states from one pass: the ranks
     of every state's default rows from one SVD call and, for three qubits,
-    every single-qubit local rank from one more. The ranks read each ray at
-    its exact norm scale."""
-    states = [_norm_scaled(state) for state in states]
+    every single-qubit local rank from one more."""
     n = states[0].n
     profiles = _partition_invariants(states, QubitPartition(default_rows(n), n))
     ranks = [p.rank_profile.ranks for p in profiles]
@@ -289,10 +287,8 @@ def slocc_compare(a: PureState, b: PureState) -> CompareVerdict:
         if la != lb:
             return CompareVerdict("inequivalent", Witness("class", la.label, lb.label))
         return CompareVerdict("not-distinguished")
-    # the ranks read each ray at its norm scale, as rank_profile does
-    pair = (_norm_scaled(a), _norm_scaled(b))
     for rows in ((1,), default_rows(a.n)):
-        pa, pb = _partition_invariants(pair, QubitPartition(rows, a.n))
+        pa, pb = _partition_invariants((a, b), QubitPartition(rows, a.n))
         ra, rb = pa.rank_profile.ranks, pb.rank_profile.ranks
         if ra != rb:
             return CompareVerdict("inequivalent", Witness("ranks", ra, rb, rows=rows))

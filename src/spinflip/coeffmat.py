@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .states import PureState, _norm_scaled
+from .states import PureState, _rays
 
 
 @dataclass(frozen=True)
@@ -54,28 +54,26 @@ class QubitPartition:
         return tuple(q for q in range(1, self.n + 1) if q not in self.rows)
 
 
-def _coeff_matrices(states, partition: QubitPartition) -> np.ndarray:
-    """The partition's coefficient matrices of S states, one (S, 2^i,
-    2^(n-i)) array from one transpose.
+def _coeff_matrices(amps: np.ndarray, partition: QubitPartition) -> np.ndarray:
+    """The partition's coefficient matrices of an (S, 2^n) amplitude stack,
+    one (S, 2^i, 2^(n-i)) array from one transpose.
 
     Axis k+1 of the reshaped amplitude stack is qubit k+1 (most significant
     bit first), so moving the row-qubit axes to the front of each state and
     flattening gives the matrices directly.
     """
-    for state in states:
-        if partition.n != state.n:
-            raise ValidationError(
-                f"partition is for n={partition.n} but state has n={state.n}"
-            )
     n, ell = partition.n, partition.size
-    tensor = np.array([state.amplitudes for state in states]).reshape([-1] + [2] * n)
+    if amps.shape[-1] != 2**n:
+        raise ValidationError(
+            f"partition is for n={n} but state has n={amps.shape[-1].bit_length() - 1}"
+        )
     order = [0] + list(partition.rows) + list(partition.columns())
-    return tensor.transpose(order).reshape(-1, 2**ell, 2 ** (n - ell))
+    return amps.reshape([-1] + [2] * n).transpose(order).reshape(-1, 2**ell, 2 ** (n - ell))
 
 
 def coeff_matrix(state: PureState, partition: QubitPartition) -> np.ndarray:
     """The partition's coefficient matrix, a read-only (2^i, 2^(n-i)) array."""
-    mat = _coeff_matrices([state], partition)[0]
+    mat = _coeff_matrices(state.amplitudes[None], partition)[0]
     mat.setflags(write=False)
     return mat
 
@@ -96,13 +94,13 @@ def _local_index(n: int) -> np.ndarray:
 
 def _local_ranks(states) -> list[tuple[int, ...]]:
     """Ranks of all n single-qubit coefficient matrices C_1..C_n of each
-    state, from one gather and one stacked SVD."""
+    state's ray, from one gather and one stacked SVD."""
     # deferred import: invariants depends on this module
     from .invariants import _rank, singular_values
 
     n = states[0].n
     # no noise floor: sigma_1(C_k) >= ||a|| / sqrt(2) for every nonzero state
-    stack = np.array([state.amplitudes for state in states])[:, _local_index(n)]
+    stack = _rays(states)[0][:, _local_index(n)]
     ranks = _rank(singular_values(stack.reshape(-1, 2, 2 ** (n - 1))), 0.0)
     return [tuple(row) for row in ranks.reshape(len(states), n).tolist()]
 
@@ -116,4 +114,4 @@ def local_rank(state: PureState, qubit: int) -> int:
         raise ValidationError("local_rank needs at least 2 qubits")
     if not 1 <= qubit <= state.n:
         raise ValidationError(f"qubit label {qubit} out of range 1..{state.n}")
-    return _local_ranks([_norm_scaled(state)])[0][qubit - 1]
+    return _local_ranks([state])[0][qubit - 1]

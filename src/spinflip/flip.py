@@ -21,8 +21,7 @@ import numpy as np
 
 from .coeffmat import QubitPartition, _coeff_matrices
 from .errors import ValidationError
-from .states import (LocalOperator, PureState, _frozen, _integer, _norm_scaled, apply_local,
-                     parity_signs)
+from .states import LocalOperator, PureState, _frozen, _integer, _rays, apply_local, parity_signs
 
 # a power-1 entry's rounding stays below NOISE_FLOOR * sum |a_i|^2: the bound
 # of the parity check and the base of each power's noise floor (rank 0 below)
@@ -88,18 +87,19 @@ def _times_kernel(mat: np.ndarray, k: int) -> np.ndarray:
     return mat[..., ::-1] * parity_signs(k)[::-1]
 
 
-def _power_stacks(states, partition: QubitPartition, max_power: int) -> np.ndarray:
-    """Powers 1..max_power of S states' spin-flipping matrices as one
-    read-only (S, max_power, d, d) array, from one batched recursion.
+def _power_stacks(amps, norms, partition: QubitPartition, max_power: int) -> np.ndarray:
+    """Powers 1..max_power of the spin-flipping matrices of an (S, 2^n)
+    amplitude stack with S norms, as one read-only (S, max_power, d, d)
+    array, from one batched recursion.
     Power 1 is checked for its parity symmetry; each later power is
     written in place, so the whole array can go to LAPACK in one call, and
     each state's rows are the same bit for bit alone or in a batch."""
     max_power = _require_power(max_power, "max_power")
-    cmats = _coeff_matrices(states, partition)
+    cmats = _coeff_matrices(amps, partition)
     base = _times_kernel(cmats, partition.n - partition.size) @ cmats.swapaxes(-1, -2)
     # an entry sums amplitude products: its rounding scales with ||a||^2, a
     # product of floats that reads inf on overflow, so refuses nothing
-    _require_power_one(base, partition, [state.norm() * state.norm() for state in states])
+    _require_power_one(base, partition, [norm * norm for norm in norms])
     try:
         stack = np.empty((len(base), max_power) + base.shape[1:], dtype=complex)
     except (ValueError, MemoryError) as exc:
@@ -114,7 +114,8 @@ def _power_stacks(states, partition: QubitPartition, max_power: int) -> np.ndarr
 
 def omega(state: PureState, partition: QubitPartition) -> OmegaMatrix:
     """Power-1 spin-flipping matrix C v^{(x)(n-i)} C^T."""
-    return OmegaMatrix(partition, 1, _power_stacks([state], partition, 1)[0, 0])
+    stack = _power_stacks(state.amplitudes[None], [state.norm()], partition, 1)
+    return OmegaMatrix(partition, 1, stack[0, 0])
 
 
 def omega_power_sequence(
@@ -122,7 +123,7 @@ def omega_power_sequence(
 ) -> list[OmegaMatrix]:
     """Powers 1..max_power from one pass of the recursion, a copy of each
     stack row."""
-    stack = _power_stacks([state], partition, max_power)[0]
+    stack = _power_stacks(state.amplitudes[None], [state.norm()], partition, max_power)[0]
     return [OmegaMatrix(partition, ell, mat) for ell, mat in enumerate(stack, start=1)]
 
 
@@ -134,12 +135,12 @@ def verify_congruence(
 ) -> CongruenceReport:
     """Check the congruence identity for one state, operator, and power.
 
-    LHS is the power-l matrix of the transformed state; RHS is
-    alpha^(l-1) beta^l P Omega^(.l) P^T built from the original state, read
-    at its norm scale (both sides have degree 2l in it). When both states'
-    power l has rank 0 by the rank rule's noise floor, both sides are
-    rounding noise and the residual is 0.0; otherwise it is max |LHS - RHS|
-    over the larger of max |LHS| and max |RHS|.
+    Both sides have degree 2l in the state's scale, so the state is read as
+    its ray and transformed from there: LHS is the power-l matrix of the
+    transformed ray, RHS alpha^(l-1) beta^l P Omega^(.l) P^T of the ray.
+    When both states' power l has rank 0 by the rank rule's noise floor,
+    both sides are rounding noise and the residual is 0.0; otherwise it is
+    max |LHS - RHS| over the larger of max |LHS| and max |RHS|.
     """
     # deferred import: invariants depends on this module
     from .invariants import _noise_floors, _rank, singular_values
@@ -147,14 +148,15 @@ def verify_congruence(
     if partition.n != state.n or op.n != state.n:
         raise ValidationError("state, operator, and partition sizes must agree")
     ell = _require_power(ell, "power")
-    state = _norm_scaled(state)
+    (ray,), (norm,) = _rays([state])
     dets = op.determinants()
     alpha = complex(np.prod([dets[q - 1] for q in partition.rows]))
     beta = complex(np.prod([dets[q - 1] for q in partition.columns()]))
     p_mat = reduce(np.kron, [op.factors[q - 1] for q in partition.rows])
-    moved = apply_local(state, op)
+    moved = apply_local(PureState(state.n, ray), op)
+    norms = (moved.norm(), norm)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        stacks = _power_stacks([moved, state], partition, ell)
+        stacks = _power_stacks(np.stack((moved.amplitudes, ray)), norms, partition, ell)
         try:
             prefactor = alpha ** (ell - 1) * beta**ell
         except OverflowError:
@@ -167,7 +169,7 @@ def verify_congruence(
     # the original state's power l: only powers 1 and l need a spectrum
     sigmas = singular_values(stacks[:, sorted({0, ell - 1})])
     with np.errstate(over="ignore"):  # an infinite floor reads the power as vanished
-        floors = [_noise_floors(s, top, ell)[-1] for s, top in zip((moved, state), sigmas[:, 0, 0])]
+        floors = _noise_floors(norms, sigmas[:, 0, 0], ell)[:, -1]
     if not _rank(sigmas[:, -1], floors).any():
         return CongruenceReport(alpha=alpha, beta=beta, residual=0.0)
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))

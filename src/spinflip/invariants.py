@@ -20,7 +20,7 @@ import numpy as np
 from .coeffmat import QubitPartition
 from .errors import ToleranceInconsistency, ValidationError
 from .flip import NOISE_FLOOR, _power_stacks
-from .states import MAX_QUBITS, PureState, _norm_scaled, parity_signs
+from .states import MAX_QUBITS, PureState, _rays, parity_signs
 
 # the one rank threshold: a singular value counts toward the rank when it
 # exceeds this fraction of its spectrum's top value
@@ -39,8 +39,8 @@ _SERIAL_SVD_WIDTH = 2 ** (MAX_QUBITS // 2)
 
 # OpenBLAS threads no part of the SVD of a matrix with at most 64 x 64
 # entries (0.3.31: spectra on 1 and 2 threads agree bit for bit up to 64 x 64
-# and differ from 72 x 72), so there the scope would only add its few
-# microseconds per call, a tenth of a three-qubit classification
+# and differ from 72 x 72), so there the scope would only add 1.5-2 us per
+# call (2-vCPU x86 VM): 3% of a three-qubit classification, which makes two
 _SERIAL_SVD_MIN_ENTRIES = 64 * 64
 
 # (prefix, suffix) of the thread-count symbols an OpenBLAS build exports
@@ -178,25 +178,25 @@ def _require_normalized(state: PureState, what: str) -> None:
         raise ValidationError(f"{what} requires a normalized state")
 
 
-def _noise_floors(state: PureState, top: float, max_power: int) -> list[float]:
-    """NOISE_FLOOR * sum |a_i|^2 * top^(l-1) for the powers l = 1..max_power,
+def _noise_floors(norms, tops, max_power: int) -> np.ndarray:
+    """(S, max_power) floors NOISE_FLOOR * ||a||^2 * top^(l-1), l = 1..max_power,
     top being sigma_1 of power 1: the magnitude the recursion multiplies in
     per step, so its rounding error stays orders below it. Power l at or
     below its floor is noise, of rank 0. The floor has power l's degree 2l
     in the state's scale, so any scale reads the ray."""
-    norm = state.norm()
-    return [NOISE_FLOOR * (norm * norm) * top**ell for ell in range(max_power)]
+    return np.array([[NOISE_FLOOR * (norm * norm) * top**ell for ell in range(max_power)]
+                     for norm, top in zip(norms, tops)])
 
 
 def _spectra(states, partition: QubitPartition, max_power: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra (S, K, d) and noise floors (S, K) of powers 1..K of S states.
-    All S power stacks come from one recursion and go to one
+    """Spectra (S, K, d) and noise floors (S, K) of powers 1..K of S
+    states' rays. All S power stacks come from one recursion and go to one
     singular_values call as one (S*K, d, d) stack; LAPACK decomposes each
     matrix on its own, so a state's spectra ignore its company."""
-    stacks = _power_stacks(states, partition, max_power)
+    amps, norms = _rays(states)
+    stacks = _power_stacks(amps, norms, partition, max_power)
     sigmas = singular_values(stacks.reshape((-1,) + stacks.shape[2:])).reshape(stacks.shape[:3])
-    floors = [_noise_floors(state, sigma[0, 0], max_power) for state, sigma in zip(states, sigmas)]
-    return sigmas, np.array(floors)
+    return sigmas, _noise_floors(norms, sigmas[:, 0, 0], max_power)
 
 
 def _partition_invariants(states, partition: QubitPartition,
@@ -217,7 +217,7 @@ def rank_profile(
 ) -> RankProfile:
     """Ranks of the power-1..max_power matrices, non-increasing by contract;
     properties of the ray, so any nonzero scale gives the same ranks."""
-    return _partition_invariants([_norm_scaled(state)], partition, max_power)[0].rank_profile
+    return _partition_invariants([state], partition, max_power)[0].rank_profile
 
 
 def concurrence_even(state: PureState) -> float:

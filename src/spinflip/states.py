@@ -37,16 +37,21 @@ def parity_signs(bits: int) -> np.ndarray:
 
 
 def _integer(value, name: str) -> int:
-    """value through operator.index, so 2.5, 3.0 and "3" are refused."""
+    """value through operator.index, so 2.5, 3.0, "3" and True are refused."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _require_qubits(n: int) -> None:
-    if not 1 <= _integer(n, "n") <= MAX_QUBITS:
+def _require_qubits(n: int) -> int:
+    """n as a Python int in 1..MAX_QUBITS."""
+    n = _integer(n, "n")
+    if not 1 <= n <= MAX_QUBITS:
         raise ValidationError(f"n must be in 1..{MAX_QUBITS}, got {n}")
+    return n
 
 
 def _frozen(values, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -80,7 +85,7 @@ class PureState:
     _norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        _require_qubits(self.n)
+        object.__setattr__(self, "n", _require_qubits(self.n))
         object.__setattr__(self, "amplitudes", _frozen(self.amplitudes, (2**self.n,), "amplitudes"))
         # squares of magnitudes over the peak neither overflow nor underflow
         mags = np.abs(self.amplitudes)
@@ -96,21 +101,22 @@ class PureState:
         return self._norm
 
 
-def _norm_scaled(state: PureState) -> PureState:
-    """An unnormalized state divided by 2^e, which puts its norm in
-    [1/2, 1). Omega^(l) scales as c^(2l), so raw extreme scales underflow
-    or overflow the recursion and its noise floors; at this scale
-    sigma_1(Omega^(1)) <= ||a||^2 < 1 bounds every power and every floor by
-    1. ldexp keeps the division exact and, unlike multiplying by 2.0**-e,
-    cannot overflow for a subnormal norm."""
-    if state.normalized:
-        return state
-    _, exp = math.frexp(state.norm())
-    amps = state.amplitudes
-    scaled = np.empty_like(amps)
-    scaled.real = np.ldexp(amps.real, -exp)
-    scaled.imag = np.ldexp(amps.imag, -exp)
-    return PureState(state.n, scaled)
+def _rays(states) -> tuple[np.ndarray, list[float]]:
+    """The (S, 2^n) amplitude stack of S states and their S norms, each
+    unnormalized row divided by 2^e, which puts its norm in [1/2, 1).
+    Omega^(l) scales as c^(2l), so raw extreme scales underflow or overflow
+    the recursion and its noise floors; at this scale sigma_1(Omega^(1)) <=
+    ||a||^2 < 1 bounds every power and floor by 1. ldexp keeps the division
+    exact and, unlike multiplying by 2.0**-e, cannot overflow."""
+    amps = np.array([state.amplitudes for state in states])
+    norms = [state.norm() for state in states]
+    for k, state in enumerate(states):
+        if not state.normalized:
+            _, exp = math.frexp(norms[k])
+            norms[k] = math.ldexp(norms[k], -exp)
+            amps[k].real = np.ldexp(amps[k].real, -exp)
+            amps[k].imag = np.ldexp(amps[k].imag, -exp)
+    return amps, norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,10 +359,7 @@ def parse_state(text: str) -> PureState:
         raise ValidationError(f"state file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "amplitudes" not in doc:
         raise ValidationError('state file must be {"n": ..., "amplitudes": ...}')
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValidationError(f"n must be an integer, got {n!r}")
-    return PureState(n, _pairs_to_complex(doc["amplitudes"], "amplitudes", text))
+    return PureState(doc["n"], _pairs_to_complex(doc["amplitudes"], "amplitudes", text))
 
 
 def serialize_state(state: PureState) -> str:

@@ -130,6 +130,33 @@ def test_slocc_compare_sends_both_states_to_one_svd_per_partition(monkeypatch):
     assert calls == [(6, 2, 2), (6, 4, 4)]
 
 
+def test_unnormalized_rank_verdicts_build_no_state(monkeypatch):
+    # the rank kernels rescale the amplitude stack they build, so a verdict
+    # on an unnormalized ray makes no rescaled copy of its state
+    def image(n, seed):
+        return apply_local(random_state(n, seed), random_local(n, "invertible", seed))
+
+    u3, v3, u4, v4 = image(3, 6970), image(3, 6971), image(4, 6972), image(4, 6973)
+    assert not any(s.normalized for s in (u3, v3, u4, v4))
+    built = []
+    post_init = PureState.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(PureState, "__post_init__", counting)
+    counts = []
+    for verdict in (lambda: classify_three(u3), lambda: slocc_compare(u3, v3),
+                    lambda: slocc_compare(u4, v4),
+                    lambda: rank_profile(u4, QubitPartition((1, 2), 4)),
+                    lambda: local_rank(u4, 2)):
+        built.clear()
+        verdict()
+        counts.append(len(built))
+    assert counts == [0, 0, 0, 0, 0]
+
+
 def test_classify_two_concurrence_sweep():
     # cos t |00> + sin t |11> has concurrence sin 2t; the three ranks move
     # together, so the sweep never trips RankProfile's monotonicity check

@@ -254,7 +254,7 @@ def test_omega_power_sequence_matches_the_stack():
     for n in range(3, 7):
         state = random_state(n, 4100 + n)
         part = helpers.random_partition(rng, n)
-        stack = _power_stacks([state], part, 4)[0]
+        stack = _power_stacks(state.amplitudes[None], [state.norm()], part, 4)[0]
         seq = omega_power_sequence(state, part, 4)
         assert stack.shape == (4,) + seq[0].entries.shape
         assert not stack.flags.writeable
@@ -296,7 +296,7 @@ def test_power_one_checked_once_per_sequence(monkeypatch):
         built.clear()
         seq = omega_power_sequence(state, part, max_power)
         assert built == list(range(1, max_power + 1))
-        stack = _power_stacks([state], part, max_power)[0]
+        stack = _power_stacks(state.amplitudes[None], [state.norm()], part, max_power)[0]
         for ell, item in enumerate(seq, start=1):
             assert np.array_equal(item.entries, stack[ell - 1])
             assert not item.entries.flags.writeable
@@ -336,7 +336,7 @@ def test_power_validation():
     with pytest.raises(ValidationError):
         omega_power_sequence(state, part, 0)
     with pytest.raises(ValidationError):
-        _power_stacks([state], part, 0)
+        _power_stacks(state.amplitudes[None], [state.norm()], part, 0)
     # a non-integer power is refused, not truncated or left to numpy
     ghz3, w3 = standard_state("ghz", 3), standard_state("w", 3)
     op3 = random_local(3, "unitary", 5)

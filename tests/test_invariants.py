@@ -44,11 +44,11 @@ from spinflip.invariants import (
     RANK_TOL,
     _SERIAL_LOCK,
     _openblas_threads,
-    _norm_scaled,
     _partition_invariants,
     _rank,
     _spectra,
 )
+from spinflip.states import _rays
 
 import helpers
 import oracles
@@ -229,6 +229,25 @@ def test_openblas_found_without_proc(monkeypatch, blas_threads):
     assert get() == blas_threads[0]() == 1
 
 
+def test_openblas_lookup_finds_none_without_the_symbols(monkeypatch):
+    # a LAPACK module that links no OpenBLAS (MKL, Accelerate) exports none
+    # of the thread-count symbols
+    monkeypatch.setattr("spinflip.invariants.ctypes.CDLL", lambda path: object())
+    assert _openblas_threads.__wrapped__() is None
+
+
+def test_singular_values_without_an_openblas(monkeypatch, blas_threads):
+    # with no thread count to scope, the SVD runs on the caller's threads and
+    # gives the scoped spectra up to rounding (1.2e-15 sigma_1 measured)
+    get, _ = blas_threads
+    stack = _complex_stack((3, 128, 128), seed=7)
+    scoped = singular_values(stack)
+    monkeypatch.setattr("spinflip.invariants._openblas_threads", lambda: None)
+    got = singular_values(stack)
+    assert get() == 2
+    assert np.all(np.abs(got - scoped) <= 1e-13 * scoped[:, :1])
+
+
 @pytest.mark.parametrize("n, rows, width", [(14, 7, 128), (12, 6, 64), (3, 2, 4)])
 def test_spectra_up_to_128_wide_do_not_depend_on_the_thread_count(blas_threads, n, rows, width):
     # threaded OpenBLAS sums in another order: at n = 14 the two counts gave
@@ -236,7 +255,8 @@ def test_spectra_up_to_128_wide_do_not_depend_on_the_thread_count(blas_threads, 
     _, put = blas_threads
     part = QubitPartition(tuple(range(1, rows + 1)), n)
     for seed in range(3):
-        stack = _power_stacks([random_state(n, seed)], part, 3)[0]
+        state = random_state(n, seed)
+        stack = _power_stacks(state.amplitudes[None], [state.norm()], part, 3)[0]
         assert stack.shape == (3, width, width)
         spectra = []
         for count in (1, 2):
@@ -485,7 +505,8 @@ def test_abs_dets_of_higher_powers_are_derived():
 def test_abs_det_la4_family():
     part = QubitPartition((1, 2), 4)
     for a in (0.8, 0.6 + 0.3j, 1.5 - 0.2j):
-        got = _partition_invariants([la4_state(a)], part, 1)[0].abs_dets[0]
+        # the state is unnormalized, so |det Omega^(1)| is read at its raw scale
+        got = np.prod(singular_values(omega(la4_state(a), part).entries))
         assert got == pytest.approx(abs(a) ** 8, rel=1e-12)
 
 
@@ -719,8 +740,8 @@ def test_spectra_do_not_depend_on_their_batch():
     for k, part in enumerate(_batch_cases()):
         n = part.n
         a = random_state(n, 4360 + k)
-        # a SLOCC image at its norm scale, as slocc_compare reads it
-        b = (_norm_scaled(apply_local(a, random_local(n, "invertible", 4361 + k))) if k % 2
+        # an unnormalized SLOCC image, whose rows _spectra rescales
+        b = (apply_local(a, random_local(n, "invertible", 4361 + k)) if k % 2
              else random_state(n, 4362 + k))
         pair_sigmas, pair_floors = _spectra([a, b], part, 3)
         pair = _partition_invariants([a, b], part, 3)
@@ -791,13 +812,17 @@ def test_a_flat_unnormalized_state_reads_like_its_normalized_copy():
     assert rank_profile(flat, part, 300).ranks == ranks
 
 
-def test_norm_scaled_is_exact_and_handles_subnormal_norms():
+def test_rays_are_exact_and_handle_subnormal_norms():
     ghz = standard_state("ghz", 3)
     for scale in (1e-310, 3e-200, 1e250):
         raw = PureState(3, scale * (1 + 2j) * ghz.amplitudes)
-        out = _norm_scaled(raw)
-        assert 0.5 <= out.norm() < 1.0
+        (ray,), (norm,) = _rays([raw])
+        assert 0.5 <= norm < 1.0 and type(norm) is float
         _, exp = math.frexp(raw.norm())
-        assert np.array_equal(out.amplitudes * 2.0**exp, raw.amplitudes)
+        assert norm * 2.0**exp == raw.norm()
+        assert np.array_equal(ray * 2.0**exp, raw.amplitudes)
         assert rank_profile(raw, P12_3, 3).ranks == (2, 2, 2)
-    assert _norm_scaled(ghz) is ghz
+    # normalized rows pass through untouched, beside a rescaled one
+    amps, norms = _rays([ghz, raw, ghz])
+    assert np.array_equal(amps[0], ghz.amplitudes) and np.array_equal(amps[2], ghz.amplitudes)
+    assert norms[0] == norms[2] == ghz.norm() and np.array_equal(amps[1], ray)

@@ -215,6 +215,23 @@ def test_pure_state_validation():
             PureState(n, np.ones(8, dtype=complex))
 
 
+def test_pure_state_keeps_the_int_it_checked():
+    # a numpy integer n is stored as the Python int it stands for, so the
+    # state serializes and parses back
+    state = random_state(np.int64(3), 1)
+    assert parse_state(serialize_state(state)).n == 3
+    assert type(state.n) is int
+
+
+def test_a_bool_is_not_a_qubit_count():
+    # bool subclasses int, but True would serialize as {"n": true}, which
+    # parse_state refuses; both refuse it with one text
+    with pytest.raises(ValidationError, match="^n must be an integer, got True$"):
+        PureState(True, [1, 0])
+    with pytest.raises(ValidationError, match="^n must be an integer, got True$"):
+        parse_state('{"n": true, "amplitudes": [[1, 0], [0, 0]]}')
+
+
 @pytest.mark.parametrize("n", range(1, 15))
 def test_pure_state_refuses_the_zero_vector(n):
     # the zero vector is no ray, so no rank or comparison ever sees it
