@@ -14,7 +14,6 @@ import numpy as np
 
 from .coeffmat import QubitPartition, _local_ranks, coeff_matrix
 from .errors import ToleranceInconsistency, ValidationError
-from .flip import _require_power
 from .invariants import (
     RANK_TOL,
     _closed_forms,
@@ -27,7 +26,7 @@ from .invariants import (
     singular_values,
     three_qubit_S,
 )
-from .states import AcinForm, PureState, acin_state
+from .states import AcinForm, PureState, _require_power, acin_state
 
 THREE_QUBIT_LABELS = ("GHZ", "W", "A-BC", "B-AC", "C-AB", "A-B-C")
 TWO_QUBIT_LABELS = ("entangled", "product")

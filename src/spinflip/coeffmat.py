@@ -8,14 +8,13 @@ index. Entry (r, c) is the amplitude whose index combines those bits.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ValidationError
-from .states import PureState, _rays
+from .states import PureState, _integer, _rays, _require_qubits
 
 
 @dataclass(frozen=True)
@@ -26,12 +25,11 @@ class QubitPartition:
     n: int
 
     def __post_init__(self):
+        n = _require_qubits(self.n)
         try:
-            rows, n = tuple(operator.index(q) for q in self.rows), operator.index(self.n)
-        except TypeError:
-            raise ValidationError(
-                f"qubit labels and n must be integers, got {self.rows!r} of {self.n!r}"
-            ) from None
+            rows = tuple(_integer(q, "qubit label") for q in self.rows)
+        except TypeError:  # not a sequence, such as a bare label
+            raise ValidationError(f"rows must be a sequence of labels, got {self.rows!r}") from None
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "n", n)
         if not 1 <= len(rows) <= n - 1:
@@ -110,8 +108,5 @@ def local_rank(state: PureState, qubit: int) -> int:
 
     Rank 1 certifies the qubit factors out of the rest of the state.
     """
-    if state.n < 2:
-        raise ValidationError("local_rank needs at least 2 qubits")
-    if not 1 <= qubit <= state.n:
-        raise ValidationError(f"qubit label {qubit} out of range 1..{state.n}")
+    (qubit,) = QubitPartition((qubit,), state.n).rows
     return _local_ranks([state])[0][qubit - 1]

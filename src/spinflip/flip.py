@@ -21,19 +21,12 @@ import numpy as np
 
 from .coeffmat import QubitPartition, _coeff_matrices
 from .errors import ValidationError
-from .states import LocalOperator, PureState, _frozen, _integer, _rays, apply_local, parity_signs
+from .states import (LocalOperator, PureState, _frozen, _rays, _require_power, apply_local,
+                     parity_signs)
 
 # a power-1 entry's rounding stays below NOISE_FLOOR * sum |a_i|^2: the bound
 # of the parity check and the base of each power's noise floor (rank 0 below)
 NOISE_FLOOR = 1e-12
-
-
-def _require_power(value, name: str) -> int:
-    """value as a power count: an integer >= 1."""
-    value = _integer(value, name)
-    if value < 1:
-        raise ValidationError(f"{name} must be >= 1, got {value}")
-    return value
 
 
 def _require_power_one(mats: np.ndarray, partition: QubitPartition, scale) -> None:

@@ -54,6 +54,14 @@ def _require_qubits(n: int) -> int:
     return n
 
 
+def _require_power(value, name: str) -> int:
+    """value as a power count: an integer >= 1."""
+    value = _integer(value, name)
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def _frozen(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     """A read-only complex copy of values, so the caller's array stays
     writable, after checking its shape and that every entry is finite."""
@@ -227,20 +235,19 @@ def standard_state(name: str, n: int | None = None) -> PureState:
     """
     name = name.lower()
     if n is not None:
-        n = _integer(n, "n")
+        n = _require_qubits(n)
     if name == "bell":
         if n not in (None, 2):
             raise ValidationError("bell is a two-qubit state")
         return PureState(2, _ghz(2))
     if name in ("ghz", "w"):
-        if n is None:
-            n = 3
-        if not 2 <= n <= MAX_QUBITS:
-            raise ValidationError(f"{name} requires 2 <= n <= {MAX_QUBITS}")
+        n = 3 if n is None else n
+        if n < 2:
+            raise ValidationError(f"{name} requires n >= 2, got {n}")
         return PureState(n, _ghz(n) if name == "ghz" else _w(n))
     if name == "zeros":
-        if n is None or not 1 <= n <= MAX_QUBITS:
-            raise ValidationError(f"zeros requires 1 <= n <= {MAX_QUBITS}")
+        if n is None:
+            raise ValidationError("zeros requires n")
         amps = np.zeros(2**n, dtype=complex)
         amps[0] = 1.0
         return PureState(n, amps)

@@ -47,8 +47,11 @@ def test_partition_validation():
     with pytest.raises(ValidationError):
         QubitPartition((4,), 3)
     # labels and n are integers, never truncated
-    for rows, n in (((1.9, 2.7), 3), ((1,), 3.0), (("1",), 3), (1, 3)):
-        with pytest.raises(ValidationError, match="must be integers"):
+    for rows, n, message in (((1.9, 2.7), 3, "^qubit label must be an integer, got 1.9$"),
+                             ((1,), 3.0, "^n must be an integer, got 3.0$"),
+                             (("1",), 3, "^qubit label must be an integer, got '1'$"),
+                             (1, 3, "^rows must be a sequence of labels, got 1$")):
+        with pytest.raises(ValidationError, match=message):
             QubitPartition(rows, n)
     assert QubitPartition((np.int64(2),), np.int64(3)) == QubitPartition((2,), 3)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -23,7 +24,12 @@ from spinflip import (
     serialize_state,
     standard_state,
     invariant_profile,
+    local_rank,
+    lu_compare,
     omega,
+    omega_power_sequence,
+    rank_profile,
+    verify_congruence,
 )
 from spinflip import states as states_module
 from spinflip.coeffmat import QubitPartition
@@ -230,6 +236,35 @@ def test_a_bool_is_not_a_qubit_count():
         PureState(True, [1, 0])
     with pytest.raises(ValidationError, match="^n must be an integer, got True$"):
         parse_state('{"n": true, "amplitudes": [[1, 0], [0, 0]]}')
+
+
+_GHZ3 = standard_state("ghz", 3)
+_ROWS12 = QubitPartition((1, 2), 3)
+
+# every integer argument and how to feed it one value, valid at 2
+INTEGER_ARGUMENTS = {
+    "partition label": lambda v: QubitPartition((v,), 3),
+    "partition n": lambda v: QubitPartition((1,), v),
+    "local_rank qubit": lambda v: local_rank(_GHZ3, v),
+    "standard_state n": lambda v: standard_state("ghz", v),
+    "PureState n": lambda v: PureState(v, np.ones(4)),
+    "rank_profile max_power": lambda v: rank_profile(_GHZ3, _ROWS12, v),
+    "omega_power_sequence max_power": lambda v: omega_power_sequence(_GHZ3, _ROWS12, v),
+    "lu_compare max_power": lambda v: lu_compare(_GHZ3, _GHZ3, None, v),
+    "verify_congruence power":
+        lambda v: verify_congruence(_GHZ3, random_local(3, "unitary", 1), _ROWS12, v),
+    "random_state seed": lambda v: random_state(3, v),
+}
+
+
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+def test_every_integer_argument_has_one_rule(call):
+    # states._integer is the one rule: a bool, a float (even a whole numpy
+    # one) and a numeric string are refused alike; a numpy integer is not
+    for value in (True, 1.5, "2", np.float64(2.0)):
+        with pytest.raises(ValidationError, match=re.escape(f"must be an integer, got {value!r}")):
+            call(value)
+    call(np.int64(2))
 
 
 @pytest.mark.parametrize("n", range(1, 15))
