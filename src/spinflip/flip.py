@@ -86,21 +86,28 @@ def _power_stacks(amps, norms, partition: QubitPartition, max_power: int) -> np.
     array, from one batched recursion.
     Power 1 is checked for its parity symmetry; each later power is
     written in place, so the whole array can go to LAPACK in one call, and
-    each state's rows are the same bit for bit alone or in a batch."""
+    each state's rows are the same bit for bit alone or in a batch. A
+    product that leaves floating-point range is refused once it is built,
+    not warned about: a huge state can still have an exactly zero power."""
     max_power = _require_power(max_power, "max_power")
     cmats = _coeff_matrices(amps, partition)
-    base = _times_kernel(cmats, partition.n - partition.size) @ cmats.swapaxes(-1, -2)
+    d = cmats.shape[1]
+    try:
+        stack = np.empty((len(cmats), max_power, d, d), dtype=complex)
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(f"{max_power} powers of d x d matrices, d = {d}, "
+                              f"cannot be allocated: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = _times_kernel(cmats, partition.n - partition.size) @ cmats.swapaxes(-1, -2)
+        stack[:, 0] = base
+        for ell in range(1, max_power):
+            np.matmul(_times_kernel(stack[:, ell - 1], partition.size), base, out=stack[:, ell])
+    finite = np.isfinite(stack).all(axis=(0, 2, 3))
+    if not finite.all():
+        raise ValidationError(f"power {finite.argmin() + 1} of Omega leaves floating-point range")
     # an entry sums amplitude products: its rounding scales with ||a||^2, a
     # product of floats that reads inf on overflow, so refuses nothing
     _require_power_one(base, partition, [norm * norm for norm in norms])
-    try:
-        stack = np.empty((len(base), max_power) + base.shape[1:], dtype=complex)
-    except (ValueError, MemoryError) as exc:
-        raise ValidationError(f"{max_power} powers of d x d matrices, d = {base.shape[-1]}, "
-                              f"cannot be allocated: {exc}") from exc
-    stack[:, 0] = base
-    for ell in range(1, max_power):
-        np.matmul(_times_kernel(stack[:, ell - 1], partition.size), base, out=stack[:, ell])
     stack.setflags(write=False)
     return stack
 
@@ -148,14 +155,15 @@ def verify_congruence(
     p_mat = reduce(np.kron, [op.factors[q - 1] for q in partition.rows])
     moved = apply_local(PureState(state.n, ray), op)
     norms = (moved.norm(), norm)
+    stacks = _power_stacks(np.stack((moved.amplitudes, ray)), norms, partition, ell)
+    lhs = stacks[0, -1]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        stacks = _power_stacks(np.stack((moved.amplitudes, ray)), norms, partition, ell)
         try:
             prefactor = alpha ** (ell - 1) * beta**ell
         except OverflowError:
             prefactor = np.inf
-        lhs, rhs = stacks[0, -1], prefactor * (p_mat @ stacks[1, -1] @ p_mat.T)
-    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        rhs = prefactor * (p_mat @ stacks[1, -1] @ p_mat.T)
+    if not np.isfinite(rhs).all():
         raise ValidationError(f"power {ell} puts the congruence sides out of floating-point range")
 
     # P is invertible and the prefactor nonzero, so the RHS has the rank of

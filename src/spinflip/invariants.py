@@ -202,9 +202,11 @@ def _spectra(states, partition: QubitPartition, max_power: int) -> tuple[np.ndar
 def _partition_invariants(states, partition: QubitPartition,
                           max_power: int = 3) -> list[PartitionInvariants]:
     """Ranks and spectra of S states, one entry each, from one _spectra
-    call: the one place spectra become checked ranks. A rank counts against
-    its power's own top singular value, so a scalar prefactor cannot change
-    it, and is 0 at or below the power's noise floor."""
+    call: the one place spectra become a checked RankProfile
+    (verify_congruence and _local_ranks apply the same _rank rule to their
+    own). A rank counts against its power's own top singular value, so a
+    scalar prefactor cannot change it, and is 0 at or below the power's
+    noise floor."""
     sigmas, floors = _spectra(states, partition, max_power)
     return [PartitionInvariants(RankProfile(partition, tuple(ranks.tolist())), tuple(sigma))
             for ranks, sigma in zip(_rank(sigmas, floors), sigmas)]

@@ -95,18 +95,25 @@ class PureState:
     def __post_init__(self):
         object.__setattr__(self, "n", _require_qubits(self.n))
         object.__setattr__(self, "amplitudes", _frozen(self.amplitudes, (2**self.n,), "amplitudes"))
-        # squares of magnitudes over the peak neither overflow nor underflow
-        mags = np.abs(self.amplitudes)
-        peak = float(mags.max())
-        if not peak:
+        norm = _norm(self.amplitudes)
+        if not norm:
             raise ValidationError("amplitudes are all zero; a state needs a nonzero norm")
-        mags /= peak
-        norm = peak * math.sqrt(float(mags @ mags))
         object.__setattr__(self, "_norm", norm)
         object.__setattr__(self, "normalized", abs(norm * norm - 1.0) <= NORM_ATOL)
 
     def norm(self) -> float:
         return self._norm
+
+
+def _norm(amps: np.ndarray) -> float:
+    """||amps||, from squares of magnitudes over the peak, which neither
+    overflow nor underflow."""
+    mags = np.abs(amps)
+    peak = float(mags.max())
+    if not peak:
+        return 0.0
+    mags /= peak
+    return peak * math.sqrt(float(mags @ mags))
 
 
 def _rays(states) -> tuple[np.ndarray, list[float]]:
@@ -115,15 +122,16 @@ def _rays(states) -> tuple[np.ndarray, list[float]]:
     Omega^(l) scales as c^(2l), so raw extreme scales underflow or overflow
     the recursion and its noise floors; at this scale sigma_1(Omega^(1)) <=
     ||a||^2 < 1 bounds every power and floor by 1. ldexp keeps the division
-    exact and, unlike multiplying by 2.0**-e, cannot overflow."""
+    exact and, unlike multiplying by 2.0**-e, cannot overflow. The norm is
+    measured at that scale: a subnormal stored norm has only a few bits."""
     amps = np.array([state.amplitudes for state in states])
     norms = [state.norm() for state in states]
     for k, state in enumerate(states):
         if not state.normalized:
             _, exp = math.frexp(norms[k])
-            norms[k] = math.ldexp(norms[k], -exp)
             amps[k].real = np.ldexp(amps[k].real, -exp)
             amps[k].imag = np.ldexp(amps[k].imag, -exp)
+            norms[k] = _norm(amps[k])
     return amps, norms
 
 
@@ -142,7 +150,10 @@ class LocalOperator:
     def __post_init__(self):
         if self.kind not in ("unitary", "invertible"):
             raise ValidationError(f"unknown operator kind {self.kind!r}")
-        _require_qubits(self.n)
+        try:
+            _require_qubits(self.n)
+        except TypeError:  # a bare number has no factors to count
+            raise ValidationError(f"factors must be a list, got {self.factors!r}") from None
         try:
             mats = _frozen(self.factors, (self.n, 2, 2), "factors")
         except ValidationError:

@@ -486,6 +486,22 @@ def test_power_one_check_scales_with_the_state_norm():
     assert not omega(lone, QubitPartition((1,), 2)).entries.any()
 
 
+def test_a_power_out_of_range_is_refused_not_warned_about():
+    ghz = standard_state("ghz", 3).amplitudes
+    huge = PureState(3, 1e200 * standard_state("zeros", 3).amplitudes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^power 1 of Omega leaves floating-point range$"):
+            omega(PureState(3, 2.5e200 * ghz), QubitPartition((1,), 3))
+        with pytest.raises(ValidationError, match="^power 2 of Omega leaves floating-point range$"):
+            omega_power_sequence(PureState(3, 1e100 * ghz), QubitPartition((1, 2), 3), 3)
+        # refused once built, not by the amplitudes' scale: a huge product
+        # state has an exactly zero Omega at every power
+        assert not omega(huge, QubitPartition((1,), 3)).entries.any()
+        for mat in omega_power_sequence(huge, QubitPartition((1,), 3), 3):
+            assert not mat.entries.any()
+
+
 def test_congruence_of_a_flat_unnormalized_state_at_a_high_power():
     # a unitary operator keeps every power in range, so the unnormalized
     # state reads its normalized copy's residual, not an out-of-range power

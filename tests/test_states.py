@@ -451,6 +451,10 @@ def test_local_operator_validation():
         LocalOperator((np.eye(3),), kind="unitary")
     with pytest.raises(ValidationError):
         LocalOperator((EYE2,), kind="special")
+    # a bare number is no list of factors; len() of it once raised TypeError
+    for factors in (5, np.array(5.0), None):
+        with pytest.raises(ValidationError, match="^factors must be a list, got "):
+            LocalOperator(factors)
 
 
 def test_local_operator_determinants():
