@@ -102,9 +102,9 @@ def _power_stacks(amps, norms, partition: QubitPartition, max_power: int) -> np.
         stack[:, 0] = base
         for ell in range(1, max_power):
             np.matmul(_times_kernel(stack[:, ell - 1], partition.size), base, out=stack[:, ell])
-    finite = np.isfinite(stack).all(axis=(0, 2, 3))
-    if not finite.all():
-        raise ValidationError(f"power {finite.argmin() + 1} of Omega leaves floating-point range")
+    if not np.isfinite(stack).all():
+        ell = np.isfinite(stack).all(axis=(0, 2, 3)).argmin() + 1
+        raise ValidationError(f"power {ell} of Omega leaves floating-point range")
     # an entry sums amplitude products: its rounding scales with ||a||^2, a
     # product of floats that reads inf on overflow, so refuses nothing
     _require_power_one(base, partition, [norm * norm for norm in norms])

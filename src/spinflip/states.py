@@ -123,7 +123,8 @@ def _rays(states) -> tuple[np.ndarray, list[float]]:
     the recursion and its noise floors; at this scale sigma_1(Omega^(1)) <=
     ||a||^2 < 1 bounds every power and floor by 1. ldexp keeps the division
     exact and, unlike multiplying by 2.0**-e, cannot overflow. The norm is
-    measured at that scale: a subnormal stored norm has only a few bits."""
+    measured again at that scale, since a subnormal stored norm has only a
+    few bits (and so may leave the ray a hair outside [1/2, 1))."""
     amps = np.array([state.amplitudes for state in states])
     norms = [state.norm() for state in states]
     for k, state in enumerate(states):
