@@ -451,7 +451,7 @@ def test_local_operator_validation():
         LocalOperator((np.eye(3),), kind="unitary")
     with pytest.raises(ValidationError):
         LocalOperator((EYE2,), kind="special")
-    # a bare number is no list of factors; len() of it once raised TypeError
+    # a bare number is no list of factors, refused like any malformed one
     for factors in (5, np.array(5.0), None):
         with pytest.raises(ValidationError, match="^factors must be a list, got "):
             LocalOperator(factors)
