@@ -20,14 +20,9 @@ from .classify import (
 )
 from .coeffmat import QubitPartition, coeff_matrix, local_rank
 from .errors import ToleranceInconsistency, ValidationError
-from .flip import (
-    CongruenceReport,
-    OmegaMatrix,
-    omega,
-    omega_power_sequence,
-    verify_congruence,
-)
+from .flip import OmegaMatrix, omega, omega_power_sequence
 from .invariants import (
+    CongruenceReport,
     InvariantProfile,
     OddInvariants,
     RankProfile,
@@ -38,6 +33,7 @@ from .invariants import (
     rank_profile,
     singular_values,
     three_qubit_S,
+    verify_congruence,
 )
 from .states import (
     AcinForm,

@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffmat import QubitPartition, _local_ranks, coeff_matrix
+from .coeffmat import QubitPartition, coeff_matrix
 from .errors import ToleranceInconsistency, ValidationError
 from .invariants import (
     RANK_TOL,
     _closed_forms,
+    _local_ranks,
     _partition_invariants,
     _require_normalized,
     _spectra,

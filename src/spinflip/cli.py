@@ -30,8 +30,8 @@ from .classify import (
 )
 from .coeffmat import QubitPartition
 from .errors import ToleranceInconsistency, ValidationError
-from .flip import verify_congruence
-from .invariants import RANK_TOL, default_rows, invariant_profile, rank_profile
+from .invariants import (RANK_TOL, default_rows, invariant_profile, rank_profile,
+                         verify_congruence)
 from .states import (
     AcinForm,
     acin_state,

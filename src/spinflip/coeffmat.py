@@ -4,6 +4,7 @@ The coefficient matrix C_{q1..ql} puts the bits of the chosen row qubits
 q_1..q_l (in the given order, most significant first) on the row index and
 the bits of the remaining qubits, in ascending label order, on the column
 index. Entry (r, c) is the amplitude whose index combines those bits.
+The ranks of these matrices come from invariants, the home of the rank rule.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .states import PureState, _integer, _rays, _require_qubits
+from .states import PureState, _integer, _require_qubits
 
 
 @dataclass(frozen=True)
@@ -90,23 +91,13 @@ def _local_index(n: int) -> np.ndarray:
     return table
 
 
-def _local_ranks(states) -> list[tuple[int, ...]]:
-    """Ranks of all n single-qubit coefficient matrices C_1..C_n of each
-    state's ray, from one gather and one stacked SVD."""
-    # deferred import: invariants depends on this module
-    from .invariants import _rank, singular_values
-
-    n = states[0].n
-    # no noise floor: sigma_1(C_k) >= ||a|| / sqrt(2) for every nonzero state
-    stack = _rays(states)[0][:, _local_index(n)]
-    ranks = _rank(singular_values(stack.reshape(-1, 2, 2 ** (n - 1))), 0.0)
-    return [tuple(row) for row in ranks.reshape(len(states), n).tolist()]
-
-
 def local_rank(state: PureState, qubit: int) -> int:
     """Numerical rank of the single-qubit coefficient matrix C_qubit.
 
     Rank 1 certifies the qubit factors out of the rest of the state.
     """
+    # deferred import: invariants (the rank rule) depends on this module
+    from .invariants import _local_ranks
+
     (qubit,) = QubitPartition((qubit,), state.n).rows
     return _local_ranks([state])[0][qubit - 1]

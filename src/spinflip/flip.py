@@ -1,4 +1,4 @@
-"""Spin-flipping matrices, their powers, and the local-congruence check.
+"""Spin-flipping matrices and their powers.
 
 The power-1 matrix of a state for a partition with row qubits q_1..q_i is
 
@@ -9,20 +9,19 @@ Omega^(.l) = Omega^(.(l-1)) v^{(x)i} Omega. Applying a local operator
 A_1 (x) ... (x) A_n to the state maps Omega^(.l) to
 alpha^(l-1) beta^l P Omega^(.l) P^T with P = A_{q_1} (x) ... (x) A_{q_i},
 alpha the product of row-qubit determinants and beta the product of
-column-qubit determinants.
+column-qubit determinants. This module builds the matrices and applies
+no rank rule: invariants.verify_congruence checks that identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .coeffmat import QubitPartition, _coeff_matrices
 from .errors import ValidationError
-from .states import (LocalOperator, PureState, _frozen, _rays, _require_power, apply_local,
-                     parity_signs)
+from .states import PureState, _frozen, _require_power, parity_signs
 
 # a power-1 entry's rounding stays below NOISE_FLOOR * sum |a_i|^2: the bound
 # of the parity check and the base of each power's noise floor (rank 0 below)
@@ -54,19 +53,6 @@ class OmegaMatrix:
         object.__setattr__(self, "power", _require_power(self.power, "power"))
         mat = _frozen(self.entries, (2**self.partition.size,) * 2, "entries")
         object.__setattr__(self, "entries", mat)
-
-
-@dataclass(frozen=True)
-class CongruenceReport:
-    """Outcome of checking the local-transformation congruence identity."""
-
-    alpha: complex
-    beta: complex
-    residual: float
-
-    def __post_init__(self):
-        if not self.residual >= 0:
-            raise ValidationError(f"residual must be >= 0, got {self.residual}")
 
 
 def _times_kernel(mat: np.ndarray, k: int) -> np.ndarray:
@@ -125,54 +111,3 @@ def omega_power_sequence(
     stack row."""
     stack = _power_stacks(state.amplitudes[None], [state.norm()], partition, max_power)[0]
     return [OmegaMatrix(partition, ell, mat) for ell, mat in enumerate(stack, start=1)]
-
-
-def verify_congruence(
-    state: PureState,
-    op: LocalOperator,
-    partition: QubitPartition,
-    ell: int = 1,
-) -> CongruenceReport:
-    """Check the congruence identity for one state, operator, and power.
-
-    Both sides have degree 2l in the state's scale, so the state is read as
-    its ray and transformed from there: LHS is the power-l matrix of the
-    transformed ray, RHS alpha^(l-1) beta^l P Omega^(.l) P^T of the ray.
-    When both states' power l has rank 0 by the rank rule's noise floor,
-    both sides are rounding noise and the residual is 0.0; otherwise it is
-    max |LHS - RHS| over the larger of max |LHS| and max |RHS|.
-    """
-    # deferred import: invariants depends on this module
-    from .invariants import _noise_floors, _rank, singular_values
-
-    if partition.n != state.n or op.n != state.n:
-        raise ValidationError("state, operator, and partition sizes must agree")
-    ell = _require_power(ell, "power")
-    (ray,), (norm,) = _rays([state])
-    dets = op.determinants()
-    alpha = complex(np.prod([dets[q - 1] for q in partition.rows]))
-    beta = complex(np.prod([dets[q - 1] for q in partition.columns()]))
-    p_mat = reduce(np.kron, [op.factors[q - 1] for q in partition.rows])
-    moved = apply_local(PureState(state.n, ray), op)
-    norms = (moved.norm(), norm)
-    stacks = _power_stacks(np.stack((moved.amplitudes, ray)), norms, partition, ell)
-    lhs = stacks[0, -1]
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        try:
-            prefactor = alpha ** (ell - 1) * beta**ell
-        except OverflowError:
-            prefactor = np.inf
-        rhs = prefactor * (p_mat @ stacks[1, -1] @ p_mat.T)
-    if not np.isfinite(rhs).all():
-        raise ValidationError(f"power {ell} puts the congruence sides out of floating-point range")
-
-    # P is invertible and the prefactor nonzero, so the RHS has the rank of
-    # the original state's power l: only powers 1 and l need a spectrum
-    sigmas = singular_values(stacks[:, sorted({0, ell - 1})])
-    with np.errstate(over="ignore"):  # an infinite floor reads the power as vanished
-        floors = _noise_floors(norms, sigmas[:, 0, 0], ell)[:, -1]
-    if not _rank(sigmas[:, -1], floors).any():
-        return CongruenceReport(alpha=alpha, beta=beta, residual=0.0)
-    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
-    residual = float(np.max(np.abs(lhs - rhs)) / scale)
-    return CongruenceReport(alpha=alpha, beta=beta, residual=residual)

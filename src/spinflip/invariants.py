@@ -1,9 +1,12 @@
 """Ranks, singular values, and closed-form invariants.
 
-The closed forms (concurrence for even n, the e11/e12/e22 family for odd n,
-and the three-qubit S) are computed straight from the amplitudes with
-additions and multiplications only; singular-value decompositions are kept
-as an independent cross-check route and for the general invariant profile.
+Every place a spectrum becomes a rank lives here, beside the one rank rule:
+the spin-flip rank profiles, the single-qubit local ranks, and the
+local-congruence check of the spin-flipping matrices. The closed forms
+(concurrence for even n, the e11/e12/e22 family for odd n, and the
+three-qubit S) are computed straight from the amplitudes with additions
+and multiplications only; singular-value decompositions are kept as an
+independent cross-check route and for the general invariant profile.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffmat import QubitPartition
+from .coeffmat import QubitPartition, _local_index
 from .errors import ToleranceInconsistency, ValidationError
 from .flip import NOISE_FLOOR, _power_stacks
-from .states import MAX_QUBITS, PureState, _rays, parity_signs
+from .states import (MAX_QUBITS, LocalOperator, PureState, _rays, _require_power, apply_local,
+                     parity_signs)
 
 # the one rank threshold: a singular value counts toward the rank when it
 # exceeds this fraction of its spectrum's top value
@@ -164,6 +168,19 @@ class PartitionInvariants:
         return tuple(float(np.prod(sigma)) for sigma in self.singular_values)
 
 
+@dataclass(frozen=True)
+class CongruenceReport:
+    """Outcome of checking the local-transformation congruence identity."""
+
+    alpha: complex
+    beta: complex
+    residual: float
+
+    def __post_init__(self):
+        if not self.residual >= 0:
+            raise ValidationError(f"residual must be >= 0, got {self.residual}")
+
+
 @dataclass(frozen=True, eq=False)
 class InvariantProfile:
     n: int
@@ -203,13 +220,23 @@ def _partition_invariants(states, partition: QubitPartition,
                           max_power: int = 3) -> list[PartitionInvariants]:
     """Ranks and spectra of S states, one entry each, from one _spectra
     call: the one place spectra become a checked RankProfile
-    (verify_congruence and _local_ranks apply the same _rank rule to their
-    own). A rank counts against its power's own top singular value, so a
-    scalar prefactor cannot change it, and is 0 at or below the power's
-    noise floor."""
+    (_local_ranks and verify_congruence, below, apply the same _rank rule
+    to their own). A rank counts against its power's own top singular
+    value, so a scalar prefactor cannot change it, and is 0 at or below the
+    power's noise floor."""
     sigmas, floors = _spectra(states, partition, max_power)
     return [PartitionInvariants(RankProfile(partition, tuple(ranks.tolist())), tuple(sigma))
             for ranks, sigma in zip(_rank(sigmas, floors), sigmas)]
+
+
+def _local_ranks(states) -> list[tuple[int, ...]]:
+    """Ranks of all n single-qubit coefficient matrices C_1..C_n of each
+    state's ray, from one gather and one stacked SVD."""
+    n = states[0].n
+    # no noise floor: sigma_1(C_k) >= ||a|| / sqrt(2) for every nonzero state
+    stack = _rays(states)[0][:, _local_index(n)]
+    ranks = _rank(singular_values(stack.reshape(-1, 2, 2 ** (n - 1))), 0.0)
+    return [tuple(row) for row in ranks.reshape(len(states), n).tolist()]
 
 
 def rank_profile(
@@ -220,6 +247,54 @@ def rank_profile(
     """Ranks of the power-1..max_power matrices, non-increasing by contract;
     properties of the ray, so any nonzero scale gives the same ranks."""
     return _partition_invariants([state], partition, max_power)[0].rank_profile
+
+
+def verify_congruence(
+    state: PureState,
+    op: LocalOperator,
+    partition: QubitPartition,
+    ell: int = 1,
+) -> CongruenceReport:
+    """Check the congruence identity for one state, operator, and power.
+
+    Both sides have degree 2l in the state's scale, so the state is read as
+    its ray and transformed from there: LHS is the power-l matrix of the
+    transformed ray, RHS alpha^(l-1) beta^l P Omega^(.l) P^T of the ray.
+    When both states' power l has rank 0 by the rank rule's noise floor,
+    both sides are rounding noise and the residual is 0.0; otherwise it is
+    max |LHS - RHS| over the larger of max |LHS| and max |RHS|.
+    """
+    if partition.n != state.n or op.n != state.n:
+        raise ValidationError("state, operator, and partition sizes must agree")
+    ell = _require_power(ell, "power")
+    (ray,), (norm,) = _rays([state])
+    dets = op.determinants()
+    alpha = complex(np.prod([dets[q - 1] for q in partition.rows]))
+    beta = complex(np.prod([dets[q - 1] for q in partition.columns()]))
+    p_mat = functools.reduce(np.kron, [op.factors[q - 1] for q in partition.rows])
+    moved = apply_local(PureState(state.n, ray), op)
+    norms = (moved.norm(), norm)
+    stacks = _power_stacks(np.stack((moved.amplitudes, ray)), norms, partition, ell)
+    lhs = stacks[0, -1]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        try:
+            prefactor = alpha ** (ell - 1) * beta**ell
+        except OverflowError:
+            prefactor = np.inf
+        rhs = prefactor * (p_mat @ stacks[1, -1] @ p_mat.T)
+    if not np.isfinite(rhs).all():
+        raise ValidationError(f"power {ell} puts the congruence sides out of floating-point range")
+
+    # P is invertible and the prefactor nonzero, so the RHS has the rank of
+    # the original state's power l: only powers 1 and l need a spectrum
+    sigmas = singular_values(stacks[:, sorted({0, ell - 1})])
+    with np.errstate(over="ignore"):  # an infinite floor reads the power as vanished
+        floors = _noise_floors(norms, sigmas[:, 0, 0], ell)[:, -1]
+    if not _rank(sigmas[:, -1], floors).any():
+        return CongruenceReport(alpha=alpha, beta=beta, residual=0.0)
+    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+    residual = float(np.max(np.abs(lhs - rhs)) / scale)
+    return CongruenceReport(alpha=alpha, beta=beta, residual=residual)
 
 
 def concurrence_even(state: PureState) -> float:

@@ -10,8 +10,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from spinflip import (LocalOperator, PureState, flip, parse_state, random_local, serialize_operator,
-                      serialize_state)
+from spinflip import (LocalOperator, PureState, invariants, parse_state, random_local,
+                      serialize_operator, serialize_state)
 from spinflip.cli import main
 
 import helpers
@@ -580,17 +580,16 @@ def test_verify_congruence_catches_a_corrupted_side(states, tmp_path, capsys, mo
     op_path.write_text(serialize_operator(random_local(3, "invertible", 89)))
     argv = ["verify-congruence", states["ghz3"], str(op_path), "--power", str(power)]
     assert run_report(argv, capsys)["residual"] < 1e-11
-    honest = flip.apply_local
+    honest = invariants.apply_local
     ket0 = np.eye(1, 8).ravel()
-    monkeypatch.setattr("spinflip.flip.apply_local", lambda state, op: PureState(3, ket0))
+    monkeypatch.setattr("spinflip.invariants.apply_local", lambda state, op: PureState(3, ket0))
     report = run_report(argv, capsys)
     assert report["residual"] == 1.0
     assert report["passed"] is False
     # scales the power-l side by exactly 1 + 1e-6, up to rounding
     gain = (1 + 1e-6) ** (1 / (2 * power))
-    monkeypatch.setattr(
-        "spinflip.flip.apply_local", lambda state, op: PureState(3, gain * honest(state, op).amplitudes)
-    )
+    monkeypatch.setattr("spinflip.invariants.apply_local",
+                        lambda state, op: PureState(3, gain * honest(state, op).amplitudes))
     report = run_report(argv, capsys)
     assert report["residual"] == pytest.approx(1e-6, rel=1e-3)
     assert report["passed"] is False

@@ -37,12 +37,12 @@ from spinflip import (
     standard_state,
     three_qubit_S,
 )
-from spinflip.coeffmat import _local_ranks
 from spinflip.flip import _power_stacks
 from spinflip.invariants import (
     NOISE_FLOOR,
     RANK_TOL,
     _SERIAL_LOCK,
+    _local_ranks,
     _openblas_threads,
     _partition_invariants,
     _rank,
