@@ -12,29 +12,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffmat import QubitPartition, coeff_matrix
+from .coeffmat import QubitPartition
 from .errors import ToleranceInconsistency, ValidationError
 from .invariants import (
+    COMPARE_TOL,
     RANK_TOL,
     _closed_forms,
+    _first_gap,
     _local_ranks,
     _partition_invariants,
     _require_normalized,
-    _spectra,
     concurrence_even,
     default_rows,
     odd_invariants,
-    singular_values,
     three_qubit_S,
 )
 from .states import AcinForm, PureState, _require_power, acin_state
 
 THREE_QUBIT_LABELS = ("GHZ", "W", "A-BC", "B-AC", "C-AB", "A-B-C")
 TWO_QUBIT_LABELS = ("entangled", "product")
-
-# the float slack of a closed form in [0, 1/2]: FamilyLabel's interval margin
-# and lu_compare's one threshold, there also relative on each power's spectra
-COMPARE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -227,11 +223,9 @@ def lu_compare(
     Checks, in order: the parity-appropriate closed form (concurrence, or
     n-tangle and delta), then per partition and power the sorted
     singular-value lists. A closed form, which lies in [0, 1/2], differs
-    beyond COMPARE_TOL. A gap at power l differs beyond COMPARE_TOL times
-    the larger top singular value of power l and beyond both states' noise
-    floors of power l, so a power that vanishes on both sides compares
-    equal. The first difference is the witness; agreement everywhere is
-    merely not-distinguished.
+    beyond COMPARE_TOL; spectra differ by invariants' gap rule. The first
+    difference is the witness; agreement everywhere is merely
+    not-distinguished.
     """
     if a.n != b.n:
         raise ValidationError(f"states have different sizes: {a.n} vs {b.n}")
@@ -249,24 +243,10 @@ def lu_compare(
     if partitions is None:
         partitions = [QubitPartition(default_rows(a.n), a.n)]
     for partition in partitions:
-        spectra, floors = _spectra((a, b), partition, max_power)
-        thresholds = np.maximum(COMPARE_TOL * spectra[:, :, 0].max(axis=0), floors.max(axis=0))
-        for idx in range(max_power):
-            # spectra descend, so reversing a row sorts it ascending
-            sa, sb = spectra[0, idx, ::-1], spectra[1, idx, ::-1]
-            gaps = np.abs(sa - sb)
-            if np.any(gaps > thresholds[idx]):
-                k = int(np.argmax(gaps))
-                return CompareVerdict(
-                    "inequivalent",
-                    Witness(
-                        "singular-value",
-                        float(sa[k]),
-                        float(sb[k]),
-                        rows=partition.rows,
-                        power=idx + 1,
-                    ),
-                )
+        if (gap := _first_gap(a, b, partition, max_power)) is not None:
+            power, sa, sb = gap
+            witness = Witness("singular-value", sa, sb, rows=partition.rows, power=power)
+            return CompareVerdict("inequivalent", witness)
     return CompareVerdict("not-distinguished")
 
 
@@ -309,10 +289,10 @@ def family_label(state: PureState) -> FamilyLabel:
         return FamilyLabel("F_g", odd_invariants(state).ntangle)
     label = classify_three(state).label
     if label == "C-AB":
-        # C_1 of chi (x) phi is the Kronecker product of the pair's 2x2
-        # amplitude matrix chi with the unit vector phi, so the product of
-        # its singular values is |det chi|, the pair's concurrence
-        pair = np.prod(singular_values(coeff_matrix(state, QubitPartition((1,), 3))))
+        # chi (x) phi has qubits 1,2 minors det(chi) phi_c, c = 0, 1, whose
+        # moduli sum to |det chi| ||phi||^2, the pair's concurrence
+        a = state.amplitudes.reshape(2, 2, 2)
+        pair = np.sum(np.abs(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]))
         return FamilyLabel("F_c", float(pair), slocc_class=label)
     if label == "A-B-C":
         return FamilyLabel("F_S", 0.0, slocc_class=label)

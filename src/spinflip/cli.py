@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .classify import (
-    COMPARE_TOL,
     classify_acin,
     classify_three,
     classify_two,
@@ -30,7 +29,7 @@ from .classify import (
 )
 from .coeffmat import QubitPartition
 from .errors import ToleranceInconsistency, ValidationError
-from .invariants import (RANK_TOL, default_rows, invariant_profile, rank_profile,
+from .invariants import (COMPARE_TOL, RANK_TOL, default_rows, invariant_profile, rank_profile,
                          verify_congruence)
 from .states import (
     AcinForm,
@@ -47,9 +46,6 @@ TOOL_NAME = "spinflip"
 
 # verify-congruence passes below this relative residual
 RESIDUAL_TOL = 1e-8
-
-# the subcommands whose reports rest on ranks; their config echoes RANK_TOL
-_RANK_COMMANDS = ("invariants", "classify", "classify-acin", "compare-slocc", "family")
 
 
 def _jsonable(value):
@@ -110,21 +106,21 @@ def _parse_acin(spec: str, phi: float) -> AcinForm:
     return AcinForm(*lams, phi=phi)
 
 
-def _config(args, command: str, rows, **extras) -> dict:
+def _config(args, rows, tol=None, **extras) -> dict:
     cfg = {
         "rows": list(rows) if rows is not None else None,
         "max_power": getattr(args, "max_power", None),
-        "tol": RANK_TOL if command in _RANK_COMMANDS else None,
+        "tol": tol,
         "output": args.output,
     }
     cfg.update(extras)
-    return {"tool": TOOL_NAME, "version": __version__, "command": command, "config": cfg}
+    return {"tool": TOOL_NAME, "version": __version__, "command": args.command, "config": cfg}
 
 
 def _cmd_invariants(args) -> dict:
     state = _read(args.state, parse_state, "state")
     partition = _parse_rows(args.rows, state.n)
-    report = _config(args, "invariants", partition.rows)
+    report = _config(args, partition.rows, RANK_TOL)
     report["n"] = state.n
     report["normalized"] = state.normalized
     if state.normalized:
@@ -161,7 +157,7 @@ def _cmd_classify(args) -> dict:
     if classify is None:
         raise ValidationError("classify handles 2- and 3-qubit states only")
     label = classify(state)
-    report = _config(args, "classify", default_rows(state.n))
+    report = _config(args, default_rows(state.n), RANK_TOL)
     report["n"] = state.n
     report["class"] = label.label
     report["ranks"] = list(label.ranks)
@@ -173,7 +169,7 @@ def _cmd_classify(args) -> dict:
 def _cmd_classify_acin(args) -> dict:
     form = _parse_acin(args.acin, args.phi)
     label, triple, s_value = classify_acin(form)
-    report = _config(args, "classify-acin", (1, 2))
+    report = _config(args, (1, 2), RANK_TOL)
     report["lambdas"] = list(form.lambdas())
     report["phi"] = form.phi
     report["class"] = label.label
@@ -186,7 +182,7 @@ def _cmd_compare_lu(args) -> dict:
     a, b = (_read(path, parse_state, "state") for path in (args.state_a, args.state_b))
     partition = _parse_rows(args.rows, a.n)
     verdict = lu_compare(a, b, [partition], args.max_power)
-    report = _config(args, "compare-lu", partition.rows, compare_tol=COMPARE_TOL)
+    report = _config(args, partition.rows, compare_tol=COMPARE_TOL)
     report["relation"] = verdict.relation
     report["witness"] = verdict.witness
     return report
@@ -195,7 +191,7 @@ def _cmd_compare_lu(args) -> dict:
 def _cmd_compare_slocc(args) -> dict:
     a, b = (_read(path, parse_state, "state") for path in (args.state_a, args.state_b))
     verdict = slocc_compare(a, b)
-    report = _config(args, "compare-slocc", default_rows(a.n))
+    report = _config(args, default_rows(a.n), RANK_TOL)
     report["relation"] = verdict.relation
     report["witness"] = verdict.witness
     return report
@@ -205,7 +201,7 @@ def _cmd_family(args) -> dict:
     state = _read(args.state, parse_state, "state")
     label = family_label(state)
     rows = default_rows(state.n) if state.n == 3 else None
-    report = _config(args, "family", rows)
+    report = _config(args, rows, RANK_TOL)
     report["kind"] = label.kind
     report["value"] = label.value
     if label.slocc_class is not None:
@@ -245,10 +241,7 @@ def _cmd_verify_congruence(args) -> dict:
     op = _read(args.operator, parse_operator, "operator")
     partition = _parse_rows(args.rows, state.n)
     outcome = verify_congruence(state, op, partition, args.power)
-    report = _config(
-        args, "verify-congruence", partition.rows,
-        power=args.power, residual_tol=RESIDUAL_TOL,
-    )
+    report = _config(args, partition.rows, power=args.power, residual_tol=RESIDUAL_TOL)
     report["alpha"] = outcome.alpha
     report["beta"] = outcome.beta
     report["residual"] = outcome.residual

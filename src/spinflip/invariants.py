@@ -1,8 +1,8 @@
 """Ranks, singular values, and closed-form invariants.
 
-Every place a spectrum becomes a rank lives here, beside the one rank rule:
-the spin-flip rank profiles, the single-qubit local ranks, and the
-local-congruence check of the spin-flipping matrices. The closed forms
+Every spectral threshold lives here: the one rank rule with the spin-flip
+rank profiles, the single-qubit local ranks and the local-congruence check
+of the spin-flipping matrices, and lu_compare's gap rule. The closed forms
 (concurrence for even n, the e11/e12/e22 family for odd n, and the
 three-qubit S) are computed straight from the amplitudes with additions
 and multiplications only; singular-value decompositions are kept as an
@@ -30,9 +30,15 @@ from .states import (MAX_QUBITS, LocalOperator, PureState, _rays, _require_power
 # exceeds this fraction of its spectrum's top value
 RANK_TOL = 1e-10
 
+# the float slack of a closed form in [0, 1/2]: FamilyLabel's interval margin
+# and lu_compare's one threshold, there also relative on each power's spectra
+COMPARE_TOL = 1e-9
+
 
 def default_rows(n: int) -> tuple[int, ...]:
     """Default row qubits: {1,2} from three qubits up, {1} for two."""
+    if n < 2:
+        raise ValidationError(f"a partition needs at least 2 qubits, got n = {n}")
     return (1, 2) if n >= 3 else (1,)
 
 
@@ -79,21 +85,29 @@ def singular_values(m) -> np.ndarray:
     descending along the last axis. On an OpenBLAS, matrices up to
     2^(MAX_QUBITS // 2) wide are decomposed on one thread, so their spectra
     do not depend on the host's core count."""
-    mat = np.asarray(m, dtype=complex)
+    try:
+        mat = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:  # a ragged nesting or a non-number
+        raise ValidationError(f"not a complex matrix: {exc}") from None
     if not np.all(np.isfinite(mat)):
         raise ValidationError("matrix has non-finite entries")
     shape = mat.shape[-2:]
-    if (math.prod(shape) <= _SERIAL_SVD_MIN_ENTRIES or min(shape) > _SERIAL_SVD_WIDTH
-            or _openblas_threads() is None):
-        return np.linalg.svd(mat, compute_uv=False)
-    get, put = _openblas_threads()
-    with _SERIAL_LOCK:
-        saved = get()
-        put(1)
-        try:
+    try:
+        if (math.prod(shape) <= _SERIAL_SVD_MIN_ENTRIES or min(shape) > _SERIAL_SVD_WIDTH
+                or _openblas_threads() is None):
             return np.linalg.svd(mat, compute_uv=False)
-        finally:
-            put(saved)
+        get, put = _openblas_threads()
+        with _SERIAL_LOCK:
+            saved = get()
+            put(1)
+            try:
+                return np.linalg.svd(mat, compute_uv=False)
+            finally:
+                put(saved)
+    except np.linalg.LinAlgError:
+        if mat.ndim >= 2:  # read only on failure, so a matrix pays nothing for it
+            raise
+        raise ValidationError(f"need a matrix or a stack of them, got {mat.ndim} axes") from None
 
 
 def _rank(sigma: np.ndarray, floor) -> np.ndarray:
@@ -214,6 +228,22 @@ def _spectra(states, partition: QubitPartition, max_power: int) -> tuple[np.ndar
     stacks = _power_stacks(amps, norms, partition, max_power)
     sigmas = singular_values(stacks.reshape((-1,) + stacks.shape[2:])).reshape(stacks.shape[:3])
     return sigmas, _noise_floors(norms, sigmas[:, 0, 0], max_power)
+
+
+def _first_gap(a, b, partition: QubitPartition, max_power: int) -> tuple[int, float, float] | None:
+    """(power, sigma_a, sigma_b) at the largest gap of the first power whose
+    ascending spectra differ, or None. A gap at power l counts beyond
+    COMPARE_TOL times the larger top singular value of power l and beyond
+    both states' noise floors of power l, so noise on both sides is equal."""
+    spectra, floors = _spectra((a, b), partition, max_power)
+    thresholds = np.maximum(COMPARE_TOL * spectra[:, :, 0].max(axis=0), floors.max(axis=0))
+    # spectra descend, so reversing a row sorts it ascending
+    for idx, (sa, sb) in enumerate(zip(spectra[0, :, ::-1], spectra[1, :, ::-1])):
+        gaps = np.abs(sa - sb)
+        if np.any(gaps > thresholds[idx]):
+            k = int(np.argmax(gaps))
+            return idx + 1, float(sa[k]), float(sb[k])
+    return None
 
 
 def _partition_invariants(states, partition: QubitPartition,

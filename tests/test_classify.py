@@ -22,8 +22,10 @@ from spinflip import (
     classify_acin,
     classify_three,
     classify_two,
+    coeff_matrix,
     default_rows,
     family_label,
+    invariant_profile,
     lu_compare,
     omega_power_sequence,
     random_local,
@@ -736,14 +738,39 @@ def test_spectral_routes_make_no_det_call(monkeypatch):
 
 
 def test_family_label_c_ab_takes_values_only(monkeypatch):
-    # two SVDs classify, the third gives the pair concurrence from C_1;
-    # none computes singular vectors
+    # two SVDs classify and the pair concurrence is a closed form; neither
+    # computes singular vectors
     calls = helpers.count_linalg_calls(monkeypatch)
     label = family_label(helpers.class_seeds()["C-AB"])
     assert (label.kind, label.slocc_class) == ("F_c", "C-AB")
     assert label.value == pytest.approx(0.5, abs=1e-15)
-    assert len(calls["svd"]) == 3
+    assert len(calls["svd"]) == 2
     assert all(compute_uv is False for _, compute_uv in calls["svd"])
+
+
+@pytest.mark.parametrize("kind", ["unitary", "invertible"])
+def test_family_label_c_ab_matches_the_c1_spectrum(kind):
+    # oracle, the route the closed form replaced: C_1 of chi (x) phi is the
+    # Kronecker product chi (x) phi^T, so the product of its two singular
+    # values is |det chi| ||phi||^2, the sum of the qubits 1,2 minors' moduli
+    seed = helpers.class_seeds()["C-AB"]
+    for k in range(25):
+        moved = apply_local(seed, random_local(3, kind, 9300 + k))
+        state = PureState(3, moved.amplitudes / moved.norm())
+        want = np.prod(singular_values(coeff_matrix(state, QubitPartition((1,), 3))))
+        label = family_label(state)
+        assert (label.kind, label.slocc_class) == ("F_c", "C-AB")
+        assert label.value == pytest.approx(want, abs=1e-15)
+
+
+def test_one_qubit_states_have_no_default_partition():
+    # default_rows(1) once returned (1,), which QubitPartition then refused
+    # as a partition the caller never gave
+    one = PureState(1, np.array([1, 0], dtype=complex))
+    for call in (lambda: default_rows(1), lambda: lu_compare(one, one),
+                 lambda: slocc_compare(one, one), lambda: invariant_profile(one)):
+        with pytest.raises(ValidationError, match="^a partition needs at least 2 qubits, got n = 1$"):
+            call()
 
 
 TWO_QUBIT_SEEDS = {

@@ -655,6 +655,18 @@ def test_boolean_and_empty_inputs_exit_2(states, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["invariants", "compare-lu", "compare-slocc"])
+def test_one_qubit_file_without_rows_exits_2(command, tmp_path, capsys):
+    # the default partition of one qubit does not exist; the error names n
+    # instead of refusing a partition the user never gave
+    one = tmp_path / "one.json"
+    one.write_text(serialize_state(PureState(1, np.array([1, 0], dtype=complex))))
+    files = [str(one)] * (1 if command == "invariants" else 2)
+    code, out, err = run([command, *files], capsys)
+    assert (code, out) == (2, "")
+    assert "got n = 1" in err and "partition must pick" not in err
+
+
 def test_exit_codes_for_bad_input(states, tmp_path, capsys):
     assert run(["invariants", str(tmp_path / "missing.json")], capsys)[0] == 2
 

@@ -88,6 +88,14 @@ def test_singular_values_rejects_nonfinite():
         singular_values(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("value", [np.ones(3), 1.0, "abc", [[1, 2], [3]], [[1, "a"]], object()],
+                         ids=["vector", "scalar", "string", "ragged", "mixed", "object"])
+def test_singular_values_refuses_what_is_not_a_matrix(value):
+    # numpy's LinAlgError, ValueError or TypeError once escaped here
+    with pytest.raises(ValidationError):
+        singular_values(value)
+
+
 @pytest.fixture
 def blas_threads():
     """(get, set) of the loaded OpenBLAS's thread count, which starts at 2

@@ -2,8 +2,8 @@
 
 The modules form one order: errors, states, coeffmat, flip, invariants,
 classify, cli. Each imports only earlier ones, so `flip` builds Omega and
-applies no rank rule, and every place a spectrum becomes a rank sits in
-`invariants`, beside the rule `_rank`. One function-level import crosses
+applies no rank rule, and every spectrum and every threshold on one sits
+in `invariants`, beside the rule `_rank`. One function-level import crosses
 the order: the one-state wrapper `coeffmat.local_rank` reaches
 `invariants._local_ranks`.
 """
@@ -13,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "spinflip"
@@ -73,16 +75,28 @@ def test_the_only_function_level_import_is_local_rank_s():
     assert nested <= {("coeffmat", "local_rank", "from .invariants import _local_ranks")}
 
 
-def test_the_rank_rule_is_applied_only_in_invariants():
+def _callers(name):
+    """The modules that call a function of this name, bare or as an attribute."""
     callers = set()
     for module in ORDER:
         for node in ast.walk(_tree(module)):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "_rank":
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
                     callers.add(module)
-    assert callers == {"invariants"}
+    return callers
+
+
+def test_the_rank_rule_is_applied_only_in_invariants():
+    assert _callers("_rank") == {"invariants"}
+
+
+@pytest.mark.parametrize("name", ["_spectra", "_noise_floors", "singular_values"])
+def test_spectra_are_read_only_in_invariants(name):
+    # classify turns invariants' decisions into labels and verdicts; it
+    # takes no spectrum and sets no threshold of its own
+    assert _callers(name) == {"invariants"}
 
 
 def test_cli_imports_nothing_third_party_beyond_numpy():
